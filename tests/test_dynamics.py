@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from fluxlattice import (
     DriveSpec,
@@ -20,6 +21,7 @@ from fluxlattice import (
     model_deviation,
     smoothed_delta_train,
 )
+from fluxlattice.core import beta_site
 from fluxlattice.dynamics import _neighbor_matrix
 
 PI = math.pi
@@ -99,6 +101,45 @@ def test_two_site_rabi_effective_and_full():
     np.testing.assert_allclose(pops, np.sin(k * t_str) ** 2, atol=0.05)
 
 
+# -- smooth drives against a dense reference ------------------------------------
+
+@pytest.mark.parametrize("waveform", [Waveform.sinusoidal(),
+                                      smoothed_delta_train(0.3, num_samples=64)],
+                         ids=["sinusoidal", "smoothed_delta"])
+def test_smooth_drive_against_dense_reference(waveform):
+    # 3 x 7 window with F m_max = 9 omega: the tilt, not the drive, is the
+    # fastest on-site term.  Reference: the lab-frame equation with beta
+    # from beta_site, integrated by DOP853 at rtol = atol = 1e-12
+    w = LatticeWindow.centered(1, 3)
+    J_x, J_y = 0.7, 0.4
+    d = DriveSpec.resonant(omega=5.0, Gamma=0.8, M=3, sigma=PI / 2, rho=PI / 3,
+                           waveform=waveform, beta0=0.25)
+    rng = np.random.default_rng(11)
+    amps = rng.normal(size=w.shape) + 1j * rng.normal(size=w.shape)
+    amps /= np.linalg.norm(amps)
+    ts = np.array([0.4, 0.9, 1.7, 2.5])
+    traj = evolve_full(WaveField(w, amps), d, J_x, J_y, ts)
+
+    sites = [(n, m) for n in w.n_values for m in w.m_values]
+    index = {s: i for i, s in enumerate(sites)}
+    H = np.zeros((len(sites), len(sites)), dtype=complex)
+    for (n, m), i in index.items():
+        for dn, dm, J in ((1, 0, J_x), (0, 1, J_y)):
+            j = index.get((n + dn, m + dm))
+            if j is not None:
+                H[i, j] -= J
+                H[j, i] -= J
+
+    def rhs(t, c):
+        return -1j * (H @ c + beta_site(d, w, t).ravel() * c)
+
+    ref = solve_ivp(rhs, (0.0, ts[-1]), amps.ravel().astype(complex),
+                    method="DOP853", t_eval=ts, rtol=1e-12, atol=1e-12)
+    assert ref.success
+    for si, f in enumerate(traj.fields):
+        np.testing.assert_allclose(f.amplitudes.ravel(), ref.y[:, si], atol=5e-7)
+
+
 # -- delta-kick engine -----------------------------------------------------------
 
 def test_kick_phase_pattern_no_hopping():
@@ -128,9 +169,7 @@ def test_kick_engine_against_dense_reference():
     amps = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     amps /= np.linalg.norm(amps)
     c0 = WaveField(w, amps)
-    ts = np.array([0.3, 0.7, 1.1, 1.5])
     opts = IntegratorOptions(norm_drift_tol=1e-12)
-    traj = evolve_full(c0, d, J_x, J_y, ts, opts)
 
     # dense reference
     H = np.zeros((9, 9), dtype=complex)
@@ -148,27 +187,39 @@ def test_kick_engine_against_dense_reference():
     def propagate(psi, dt):
         return vecs @ (np.exp(-1j * evals * dt) * (vecs.conj().T @ psi))
 
-    events = []  # (t, site index, kick sign)
-    for (n, m), i in index.items():
-        phi = n * d.sigma + m * d.rho
-        l_lo = math.ceil((0.0 - 1e-9) * d.omega / PI + phi / PI)
-        l_hi = math.floor(ts[-1] * d.omega / PI + phi / PI + 1e-9)
-        for l in range(l_lo, l_hi + 1):
-            events.append(((l * PI - phi) / d.omega, i, (-1.0) ** l))
-    events.sort(key=lambda e: e[0])
-    psi = amps.ravel().astype(complex)
-    t_cur, k = 0.0, 0
-    for si, t_target in enumerate(ts):
-        while k < len(events) and events[k][0] <= t_target + 1e-9:
-            te, i, sgn = events[k]
-            psi = propagate(psi, max(te - t_cur, 0.0))
-            t_cur = max(t_cur, te)
-            psi[i] *= np.exp(-1j * d.Gamma * sgn)
-            k += 1
-        psi = propagate(psi, t_target - t_cur)
-        t_cur = t_target
-        np.testing.assert_allclose(traj.fields[si].amplitudes.ravel(), psi,
-                                   atol=1e-7)
+    # the phi = 0 sites kick at t = l pi/omega, the phi = pi/3 sites at
+    # t = (l - 1/3) pi/omega: samples on kick times pin right-continuity,
+    # a t_start on a kick pins the pre-kick state the run starts from
+    kick = PI / d.omega
+    cases = [
+        (np.array([0.3, 0.7, 1.1, 1.5]), 0.0),
+        (np.array([kick, 0.7, 2.0 * kick, 3.0 * kick]), 0.0),
+        (np.array([0.3, 0.7, 1.1, 1.5]), -kick / 3.0),
+        (np.array([-kick / 3.0, 2.0 * kick / 3.0, 3.0 * kick]), -kick / 3.0),
+    ]
+    for ts, t_start in cases:
+        traj = evolve_full(c0, d, J_x, J_y, ts, opts, t_start=t_start)
+        events = []  # (t, site index, kick sign)
+        for (n, m), i in index.items():
+            phi = n * d.sigma + m * d.rho
+            l_lo = math.ceil((t_start - 1e-9) * d.omega / PI + phi / PI)
+            l_hi = math.floor(ts[-1] * d.omega / PI + phi / PI + 1e-9)
+            for l in range(l_lo, l_hi + 1):
+                events.append(((l * PI - phi) / d.omega, i, (-1.0) ** l))
+        events.sort(key=lambda e: e[0])
+        psi = amps.ravel().astype(complex)
+        t_cur, k = t_start, 0
+        for si, t_target in enumerate(ts):
+            while k < len(events) and events[k][0] <= t_target + 1e-9:
+                te, i, sgn = events[k]
+                psi = propagate(psi, max(te - t_cur, 0.0))
+                t_cur = max(t_cur, te)
+                psi[i] *= np.exp(-1j * d.Gamma * sgn)
+                k += 1
+            psi = propagate(psi, t_target - t_cur)
+            t_cur = t_target
+            np.testing.assert_allclose(traj.fields[si].amplitudes.ravel(), psi,
+                                       atol=1e-7)
 
 
 def test_delta_kicks_converge_to_smoothed_drive():
