@@ -352,6 +352,26 @@ def waveform_G(waveform: Waveform, x, side: str = "right"):
     return waveform.antiderivative(x, side=side)
 
 
+class _GaugePhase:
+    """theta[n,m](t) of one drive on one window, site terms precomputed.
+
+    Evaluating many times (once per integrator stage) only redoes the
+    time-dependent part; see gauge_phase for the formula.
+    """
+
+    def __init__(self, drive: DriveSpec, window: LatticeWindow):
+        m = window.m_grid
+        self._drive = drive
+        self._phi = phase_offsets(window, drive.sigma, drive.rho)
+        self._staircase = 0.5 * drive.M * drive.rho * m * (m - 1.0)
+        self._rate = drive.beta0 + drive.F * m
+
+    def __call__(self, t: float, side: str = "right") -> np.ndarray:
+        d = self._drive
+        g = d.waveform.antiderivative(d.omega * t + self._phi, side=side)
+        return self._staircase + self._rate * t + d.Gamma * g
+
+
 def gauge_phase(drive: DriveSpec, window: LatticeWindow, t: float,
                 side: str = "right") -> np.ndarray:
     """Local phase theta[n,m](t) relating driven and effective frames.
@@ -365,14 +385,9 @@ def gauge_phase(drive: DriveSpec, window: LatticeWindow, t: float,
     of motion, leaving f governed by static effective couplings.  The static
     m-staircase term makes the residual vertical Peierls phase depend on n
     only.  ``side`` picks the G branch at kick points of the delta train
-    (continuous kinds are unaffected): "right" matches an integrator that
-    applies kicks at their nominal times before emitting samples, "left"
-    is the pre-kick frame (the branch a state prepared at t must carry if
-    the integrator is going to apply a kick scheduled at that same t).
+    (continuous kinds are unaffected): "right" is the post-kick frame, the
+    one sampled trajectory fields are in; "left" is the pre-kick frame, the
+    branch a state prepared at t carries when the kick scheduled at that
+    same t is still to act on it.
     """
-    phi = phase_offsets(window, drive.sigma, drive.rho)
-    m = window.m_grid
-    staircase = 0.5 * drive.M * drive.rho * m * (m - 1.0)
-    linear = (drive.beta0 + drive.F * m) * t
-    g = waveform_G(drive.waveform, drive.omega * t + phi, side=side)
-    return staircase + linear + drive.Gamma * g
+    return _GaugePhase(drive, window)(t, side)

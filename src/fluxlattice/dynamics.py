@@ -1,17 +1,34 @@
 """Exact time integration of the driven lattice and input-state builders.
 
-The driven model couples nearest neighbors with static rates Jx, Jy while
-the on-site energies carry the gradient and the travelling-wave modulation.
-Smooth waveforms are integrated with a fixed-step classical 4th-order
-method; the alternating delta-kick train is handled event-style: between
-kicks only the static part (hopping + gradient) acts, and each kick
-multiplies the affected sites by a unimodular phase exp(-i (-1)^l Gamma).
+The driven model, i dc/dt = H_hop c + beta(t) c with static hopping rates
+Jx, Jy and on-site beta[n,m](t) = beta0 + F m + A H(omega t + phi[n,m]),
+is integrated in the gauge frame f = c exp(i theta(t)), theta being the
+gauge phase of core.gauge_phase.  Since d theta/dt = beta, the diagonal
+drops out exactly:
 
-Norm drift is budgeted, not corrected: the step size is chosen so the
-accumulated drift of an explicit RK4 run stays below
-norm_drift_tol * J * (t - t_start) even for the stiffest populated mode,
-and every trajectory records its sampled norms so the budget can be
-audited after the fact.
+    i df/dt = exp(i theta) H_hop exp(-i theta) f.
+
+This right-hand side has norm 2(|Jx| + |Jy|) on any window; its time
+dependence sits in the link phases theta_i - theta_j, which turn at a rate
+of at most nu = |F| + 2 |A| max|H|.  Fixed-step classical RK4 on f (the
+integrating-factor, or Lawson, form of RK4) therefore takes a step set by
+omega, Gamma and J, not by the tilt F m_max of the window:
+
+    h = min(dt_max, 0.02 / nu, norm-drift bound at lambda = 2(|Jx| + |Jy|)),
+
+with dt_max defaulting to min(0.01/J, 0.02 * drive period); the last two
+bounds apply to a user-set dt_max too.  The norm-drift bound keeps the
+accumulated drift of explicit RK4 below norm_drift_tol * J * (t - t_start);
+drift is budgeted, not corrected, and every trajectory records its sampled
+norms (|f| = |c|) so the budget can be audited after the fact.
+
+The alternating delta-kick train needs no events: the kicks live inside
+theta, in the piecewise-constant square wave G (so nu = |F|), and f is
+continuous across them.  Kick times are breakpoints that no RK4 step
+crosses; each span between them uses the G branch constant on the open
+span.  Inputs are mapped in with the pre-kick branch at t_start, so a kick
+at t_start acts once, and samples are mapped back with the post-kick branch
+(right-continuity).
 """
 
 from __future__ import annotations
@@ -28,6 +45,7 @@ from .core import (
     LatticeWindow,
     WaveField,
     WaveformKind,
+    _GaugePhase,
     gauge_phase,
     phase_offsets,
 )
@@ -39,6 +57,9 @@ __all__ = [
     "evolve_full",
     "gaussian_input",
 ]
+
+# largest turn of a gauge-frame link phase per RK4 step, in radians
+_LINK_PHASE_STEP = 0.02
 
 
 @dataclass(frozen=True)
@@ -89,9 +110,6 @@ class Trajectory:
         """Complex amplitudes as one (T, Nn, Nm) array."""
         return np.stack([f.amplitudes for f in self.fields])
 
-    def modulus_stack(self) -> np.ndarray:
-        return np.abs(self.amplitude_stack())
-
 
 # ---------------------------------------------------------------------------
 # assembly and stepping
@@ -132,12 +150,15 @@ def _edge_indices(window: LatticeWindow) -> np.ndarray:
 
 
 def _step_size(opts: IntegratorOptions, J_ref: float, lam: float,
-               period: float | None = None) -> float:
+               period: float | None = None, nu: float = 0.0) -> float:
     h = opts.dt_max
     if h is None:
         h = 0.01 / J_ref
         if period is not None:
             h = min(h, 0.02 * period)
+    if nu > 0.0:
+        # link phases of the gauge frame turn by at most _LINK_PHASE_STEP
+        h = min(h, _LINK_PHASE_STEP / nu)
     if lam > 0.0 and opts.norm_drift_tol > 0.0:
         # One RK4 step on the extreme mode i*lam changes |psi|^2 by at most
         # (lam h)^6/72, so over T/h steps the drift stays below the budget
@@ -154,87 +175,74 @@ def _rk4_span(psi: np.ndarray, t0: float, t1: float, h_cap: float, rhs) -> np.nd
         return psi
     steps = max(1, int(math.ceil(span / h_cap - 1e-12)))
     h = span / steps
+    t = t0
     for k in range(steps):
-        t = t0 + k * h
+        # the next step starts at exactly this step's end time, so an rhs
+        # can reuse what it computed there
+        t_next = t0 + (k + 1) * h
         k1 = rhs(t, psi)
         k2 = rhs(t + 0.5 * h, psi + (0.5 * h) * k1)
         k3 = rhs(t + 0.5 * h, psi + (0.5 * h) * k2)
-        k4 = rhs(t + h, psi + h * k3)
+        k4 = rhs(t_next, psi + h * k3)
         psi = psi + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        t = t_next
     return psi
 
 
-class _KickSchedule:
-    """Materialized kick events for the alternating delta train.
+def _unit_phase(theta: np.ndarray) -> np.ndarray:
+    """exp(i theta) as a flat array.
 
-    Sites sharing the fractional part u of -phi/pi are kicked simultaneously
-    at t_j = (j + u) pi / omega for every integer j; within such a group the
-    sign of a given kick differs between sites by the parity of the integer
-    part.  Events are therefore batched as (time, group, j) triples and each
-    application is two vectorized phase multiplications.
+    cos and sin go straight into the real and imaginary parts, which is
+    cheaper than np.exp(1j * theta) with its complex temporary.
     """
-
-    def __init__(self, drive: DriveSpec, window: LatticeWindow):
-        phi_flat = phase_offsets(window, drive.sigma, drive.rho).ravel()
-        q = np.round(-phi_flat / math.pi, 12)
-        u = np.round(q % 1.0, 12) % 1.0
-        self._omega = drive.omega
-        self._up = complex(np.exp(-1j * drive.Gamma))  # parity-even, (-1)^j = +1
-        self._dn = complex(np.exp(+1j * drive.Gamma))
-        self._groups = []
-        for uv in np.unique(u):
-            idx = np.flatnonzero(u == uv)
-            parity = np.rint(q[idx] - uv).astype(int) % 2
-            self._groups.append((float(uv), idx[parity == 0], idx[parity == 1]))
-
-    def events_between(self, t0: float, t1: float):
-        """All kick events with t0 <= t <= t1, time-sorted: (t, group, j)."""
-        events = []
-        s = self._omega / math.pi
-        for gi, (u, _, _) in enumerate(self._groups):
-            j_lo = math.ceil(t0 * s - u - 1e-9)
-            j_hi = math.floor(t1 * s - u + 1e-9)
-            events.extend(((j + u) / s, gi, j) for j in range(j_lo, j_hi + 1))
-        events.sort(key=lambda e: e[0])
-        return events
-
-    def apply(self, psi: np.ndarray, event) -> None:
-        _, gi, j = event
-        _, even, odd = self._groups[gi]
-        if j % 2 == 0:
-            psi[even] *= self._up
-            psi[odd] *= self._dn
-        else:
-            psi[even] *= self._dn
-            psi[odd] *= self._up
+    e = np.empty(theta.size, dtype=complex)
+    np.cos(theta.ravel(), out=e.real)
+    np.sin(theta.ravel(), out=e.imag)
+    return e
 
 
-def _integrate_sampled(psi, t_start, t_samples, h_cap, rhs, window, schedule=None):
+def _kick_times(drive: DriveSpec, window: LatticeWindow, t0: float,
+                t1: float) -> np.ndarray:
+    """Sorted times in [t0, t1] at which some site of the window is kicked.
+
+    Site (n, m) is kicked at t = (j pi - phi[n,m]) / omega for every integer
+    j, so the sites sharing the fractional part u of -phi/pi share the kick
+    times (j + u) pi / omega.
+    """
+    q = np.round(-phase_offsets(window, drive.sigma, drive.rho).ravel() / math.pi, 12)
+    s = drive.omega / math.pi
+    times = []
+    for u in np.unique(np.round(q % 1.0, 12) % 1.0):
+        j_lo = math.ceil(t0 * s - u - 1e-9)
+        j_hi = math.floor(t1 * s - u + 1e-9)
+        times.extend((j + u) / s for j in range(j_lo, j_hi + 1))
+    return np.unique(times)
+
+
+def _integrate_sampled(psi, t_start, t_samples, h_cap, span_rhs, window,
+                       breakpoints=()):
     """Advance psi from t_start, emitting samples at exactly t_samples.
 
-    Kick events from the schedule are applied in time order by mutating psi
-    in place; an event tied with a sample time is applied before the sample
-    is emitted (right-continuity).  Returns (amps, norms, edge_mass_max).
+    ``span_rhs(t_a, t_b)`` returns the right-hand side f(t, v) valid on the
+    span [t_a, t_b].  RK4 never steps across a breakpoint; one within 1e-9
+    of t_start or of a sample time coincides with it.  Returns (amps,
+    norms, edge_mass_max).
     """
     Nn, Nm = window.shape
     edge = _edge_indices(window)
     amps = np.empty((len(t_samples), Nn, Nm), dtype=complex)
     norms = np.empty(len(t_samples))
     edge_mass_max = 0.0
-    event_list, ei, t_cur = (), 0, t_start
-    if schedule is not None:
-        event_list = schedule.events_between(t_start, float(t_samples[-1]))
-    while ei < len(event_list) and event_list[ei][0] <= t_cur + 1e-9:
-        schedule.apply(psi, event_list[ei])
-        ei += 1
+    stops = iter(np.asarray(breakpoints, dtype=float))
+    tb = next(stops, math.inf)
+    t_cur = t_start
     for si, ts in enumerate(t_samples):
-        while ei < len(event_list) and event_list[ei][0] <= ts + 1e-9:
-            te = event_list[ei][0]
-            psi = _rk4_span(psi, t_cur, te, h_cap, rhs)
-            t_cur = max(t_cur, te)
-            schedule.apply(psi, event_list[ei])
-            ei += 1
-        psi = _rk4_span(psi, t_cur, ts, h_cap, rhs)
+        while tb < ts - 1e-9:
+            if tb > t_cur + 1e-9:
+                psi = _rk4_span(psi, t_cur, tb, h_cap, span_rhs(t_cur, tb))
+                t_cur = tb
+            tb = next(stops, math.inf)
+        psi = _rk4_span(psi, t_cur, ts, h_cap, span_rhs(t_cur, ts))
         t_cur = max(t_cur, ts)
         amps[si] = psi.reshape(Nn, Nm)
         norms[si] = float(np.vdot(psi, psi).real)
@@ -283,51 +291,53 @@ def evolve_full(initial: WaveField, drive: DriveSpec, J_x: float, J_y: float,
     i dc/dt = -Jx (c[n+1,m] + c[n-1,m]) - Jy (c[n,m+1] + c[n,m-1])
               + beta[n,m](t) c[n,m]
 
-    For pointwise waveforms beta enters the RK4 right-hand side directly;
-    for the delta-kick train the static part is integrated and kicks are
-    applied as exact phase events, a kick at t = t_start included before
-    the first continuous step.  t_start lets a run begin before the first
-    sample (e.g. mid-way between kicks); by default integration starts at 0.
+    RK4 runs in the gauge frame f = c exp(i theta(t)) (module docstring),
+    where the tilt and the modulation are exact phases and only the hopping
+    is integrated.  The step, min(dt_max, 0.02 / nu, norm-drift bound at
+    2(|Jx| + |Jy|)) with nu = |F| + 2 |A| max|H| (|F| for delta kicks),
+    does not depend on the window.  Delta kicks are breakpoints of the step
+    grid: the input is mapped in with the pre-kick branch, so a kick at
+    t = t_start acts once, and samples are mapped back with the post-kick
+    branch.  t_start lets a run begin before the first sample (e.g. mid-way
+    between kicks); by default integration starts at 0.
     """
     opts = opts or IntegratorOptions()
     window = initial.window
     t = _check_samples(t_samples, t_start)
-    psi = initial.amplitudes.ravel().astype(complex)  # writable working copy
-
-    m_flat = np.broadcast_to(window.m_grid, window.shape).ravel()
-    phi_flat = phase_offsets(window, drive.sigma, drive.rho).ravel()
-    static = drive.beta0 + drive.F * m_flat
-    H_static = _neighbor_matrix(window, -J_x, -J_y) + sparse.diags(static)
-    Hm = (-1j) * H_static.tocsr()
+    theta = _GaugePhase(drive, window)
+    f = (initial.amplitudes * np.exp(1j * theta(t_start, "left"))).ravel()
+    Hm = (-1j) * _neighbor_matrix(window, -J_x, -J_y)
 
     J_ref = max(abs(J_x), abs(J_y)) or 1.0
-    lam = float(np.max(np.abs(static))) + 2.0 * (abs(J_x) + abs(J_y))
-    schedule = None
-    kind = drive.waveform.kind
-    if kind is WaveformKind.DELTA_KICKS:
-        def rhs(_, v):
-            return Hm @ v
-        schedule = _KickSchedule(drive, window)
-    elif kind is WaveformKind.SINUSOIDAL:
-        pc = (-1j * drive.A) * np.cos(phi_flat)
-        ps = (+1j * drive.A) * np.sin(phi_flat)
-        om = drive.omega
-
-        def rhs(tt, v):
-            return Hm @ v + (math.cos(om * tt) * pc + math.sin(om * tt) * ps) * v
-
-        lam += abs(drive.A) * drive.waveform.pointwise_bound
+    wf = drive.waveform
+    breakpoints = ()
+    if wf.kind is WaveformKind.DELTA_KICKS:
+        nu = abs(drive.F)
+        breakpoints = _kick_times(drive, window, t_start, float(t[-1]))
     else:
-        wf, om, coef = drive.waveform, drive.omega, -1j * drive.A
+        nu = abs(drive.F) + 2.0 * abs(drive.A) * wf.pointwise_bound
+    h_cap = _step_size(opts, J_ref, 2.0 * (abs(J_x) + abs(J_y)),
+                       period=drive.period, nu=nu)
+
+    def span_rhs(t_a, _t_b):
+        # G is constant on the open span: its right branch at t_a, left
+        # elsewhere (they differ only at a kick, i.e. at t_a and t_b)
+        cache = {}
 
         def rhs(tt, v):
-            return Hm @ v + (coef * wf.values(om * tt + phi_flat)) * v
+            if tt not in cache:
+                if len(cache) == 2:  # RK4 revisits only the last two times
+                    del cache[next(iter(cache))]
+                e = _unit_phase(theta(tt, "right" if tt == t_a else "left"))
+                cache[tt] = (e, e.conj())
+            e, e_conj = cache[tt]
+            return e * (Hm @ (e_conj * v))
+        return rhs
 
-        lam += abs(drive.A) * wf.pointwise_bound
-
-    h_cap = _step_size(opts, J_ref, lam, period=drive.period)
-    amps, norms, edge_max = _integrate_sampled(psi, t_start, t, h_cap, rhs,
-                                               window, schedule)
+    amps, norms, edge_max = _integrate_sampled(f, t_start, t, h_cap, span_rhs,
+                                               window, breakpoints)
+    for i, ts in enumerate(t):
+        amps[i] *= np.exp(-1j * theta(float(ts), "right"))
     return _finish_trajectory(window, t, amps, norms, edge_max, opts, J_ref,
                               t_start, drive=drive)
 

@@ -67,18 +67,14 @@ class EffectiveHoppings:
         return self.M * self.sigma
 
 
-def _delta_square(x: float) -> float:
-    # right-continuous square wave: 1 on [0, pi), 0 on [pi, 2 pi), period 2 pi
-    return 1.0 if math.floor(x / math.pi + 1e-9) % 2 == 0 else 0.0
-
-
 def _delta_average(Gamma: float, shift: float, M: int) -> complex:
     """Exact period average for the delta-kick train.
 
-    G is piecewise constant, so the integrand is a product of a constant
-    phase and exp(-iMx) on each of at most four segments; integrate each
-    segment analytically.
+    G, the right-continuous square wave, is piecewise constant, so the
+    integrand is a product of a constant phase and exp(-iMx) on each of at
+    most four segments; integrate each segment analytically.
     """
+    G = Waveform.delta_kicks().antiderivative
     a = (-shift) % math.pi
     pts = sorted({0.0, a, math.pi, a + math.pi, TWO_PI})
     total = 0.0 + 0.0j
@@ -86,7 +82,7 @@ def _delta_average(Gamma: float, shift: float, M: int) -> complex:
         if v <= u:
             continue
         xm = 0.5 * (u + v)
-        w = cmath.exp(1j * Gamma * (_delta_square(xm) - _delta_square(xm + shift)))
+        w = cmath.exp(1j * Gamma * (G(xm) - G(xm + shift)))
         if M == 0:
             seg = v - u
         else:

@@ -10,12 +10,11 @@ propagation; transverse geometry in meters.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-__all__ = ["PhysicalParams", "physical_units"]
+from .core import TWO_PI
 
-TWO_PI = 2.0 * math.pi
+__all__ = ["PhysicalParams", "physical_units"]
 
 
 @dataclass(frozen=True)

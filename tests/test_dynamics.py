@@ -21,6 +21,7 @@ from fluxlattice import (
     model_deviation,
     smoothed_delta_train,
 )
+from fluxlattice import dynamics
 from fluxlattice.core import beta_site
 from fluxlattice.dynamics import _neighbor_matrix
 
@@ -138,6 +139,28 @@ def test_smooth_drive_against_dense_reference(waveform):
     assert ref.success
     for si, f in enumerate(traj.fields):
         np.testing.assert_allclose(f.amplitudes.ravel(), ref.y[:, si], atol=5e-7)
+
+
+def test_step_does_not_grow_with_window_height(monkeypatch):
+    # fig1b drive on a 61 x 3 and a 61 x 61 window: the tilt F m_max differs
+    # 30-fold, the RK4 step evolve_full picks must not
+    caps = []
+
+    def spy(psi, t0, t1, h_cap, rhs):
+        caps.append(h_cap)
+        return rk4_span(psi, t0, t1, h_cap, rhs)
+
+    rk4_span = dynamics._rk4_span
+    monkeypatch.setattr(dynamics, "_rk4_span", spy)
+    d = _sinusoidal(omega=8.0, Gamma=0.717)
+    steps = []
+    for m_half in (1, 30):
+        caps.clear()
+        c0 = gaussian_input(LatticeWindow.centered(30, m_half), 5.0)
+        evolve_full(c0, d, 1.0, 1.0, [0.01])
+        steps.append(set(caps))
+    assert len(steps[0]) == 1
+    assert steps[0] == steps[1]
 
 
 # -- delta-kick engine -----------------------------------------------------------
