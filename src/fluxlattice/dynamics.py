@@ -157,7 +157,6 @@ def _step_size(opts: IntegratorOptions, J_ref: float, lam: float,
         if period is not None:
             h = min(h, 0.02 * period)
     if nu > 0.0:
-        # link phases of the gauge frame turn by at most _LINK_PHASE_STEP
         h = min(h, _LINK_PHASE_STEP / nu)
     if lam > 0.0 and opts.norm_drift_tol > 0.0:
         # One RK4 step on the extreme mode i*lam changes |psi|^2 by at most
@@ -219,14 +218,14 @@ def _kick_times(drive: DriveSpec, window: LatticeWindow, t0: float,
     return np.unique(times)
 
 
-def _integrate_sampled(psi, t_start, t_samples, h_cap, span_rhs, window,
+def _integrate_sampled(psi, t_start, t_samples, h_cap, rhs_from, window,
                        breakpoints=()):
     """Advance psi from t_start, emitting samples at exactly t_samples.
 
-    ``span_rhs(t_a, t_b)`` returns the right-hand side f(t, v) valid on the
-    span [t_a, t_b].  RK4 never steps across a breakpoint; one within 1e-9
-    of t_start or of a sample time coincides with it.  Returns (amps,
-    norms, edge_mass_max).
+    ``rhs_from(t_a)`` returns the right-hand side f(t, v) for the span that
+    starts at t_a.  RK4 never steps across a breakpoint; one within 1e-9 of
+    t_start or of a sample time coincides with it.  Returns (amps, norms,
+    edge_mass_max).
     """
     Nn, Nm = window.shape
     edge = _edge_indices(window)
@@ -239,10 +238,10 @@ def _integrate_sampled(psi, t_start, t_samples, h_cap, span_rhs, window,
     for si, ts in enumerate(t_samples):
         while tb < ts - 1e-9:
             if tb > t_cur + 1e-9:
-                psi = _rk4_span(psi, t_cur, tb, h_cap, span_rhs(t_cur, tb))
+                psi = _rk4_span(psi, t_cur, tb, h_cap, rhs_from(t_cur))
                 t_cur = tb
             tb = next(stops, math.inf)
-        psi = _rk4_span(psi, t_cur, ts, h_cap, span_rhs(t_cur, ts))
+        psi = _rk4_span(psi, t_cur, ts, h_cap, rhs_from(t_cur))
         t_cur = max(t_cur, ts)
         amps[si] = psi.reshape(Nn, Nm)
         norms[si] = float(np.vdot(psi, psi).real)
@@ -319,9 +318,9 @@ def evolve_full(initial: WaveField, drive: DriveSpec, J_x: float, J_y: float,
     h_cap = _step_size(opts, J_ref, 2.0 * (abs(J_x) + abs(J_y)),
                        period=drive.period, nu=nu)
 
-    def span_rhs(t_a, _t_b):
+    def rhs_from(t_a):
         # G is constant on the open span: its right branch at t_a, left
-        # elsewhere (they differ only at a kick, i.e. at t_a and t_b)
+        # elsewhere (they differ only at a kick, i.e. at the span's ends)
         cache = {}
 
         def rhs(tt, v):
@@ -334,7 +333,7 @@ def evolve_full(initial: WaveField, drive: DriveSpec, J_x: float, J_y: float,
             return e * (Hm @ (e_conj * v))
         return rhs
 
-    amps, norms, edge_max = _integrate_sampled(f, t_start, t, h_cap, span_rhs,
+    amps, norms, edge_max = _integrate_sampled(f, t_start, t, h_cap, rhs_from,
                                                window, breakpoints)
     for i, ts in enumerate(t):
         amps[i] *= np.exp(-1j * theta(float(ts), "right"))

@@ -70,7 +70,7 @@ def evolve_effective(initial: WaveField, hoppings: EffectiveHoppings, t_samples,
     J_ref = max(kx, ky) or 1.0
     h_cap = _step_size(opts, J_ref, 2.0 * (kx + ky))
     amps, norms, edge_max = _integrate_sampled(psi, t_start, t, h_cap,
-                                               lambda _t_a, _t_b: rhs, window)
+                                               lambda _t_a: rhs, window)
     return _finish_trajectory(window, t, amps, norms, edge_max, opts, J_ref,
                               t_start, hoppings=hoppings)
 

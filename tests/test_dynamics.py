@@ -145,12 +145,12 @@ def test_step_does_not_grow_with_window_height(monkeypatch):
     # fig1b drive on a 61 x 3 and a 61 x 61 window: the tilt F m_max differs
     # 30-fold, the RK4 step evolve_full picks must not
     caps = []
+    rk4_span = dynamics._rk4_span
 
     def spy(psi, t0, t1, h_cap, rhs):
         caps.append(h_cap)
         return rk4_span(psi, t0, t1, h_cap, rhs)
 
-    rk4_span = dynamics._rk4_span
     monkeypatch.setattr(dynamics, "_rk4_span", spy)
     d = _sinusoidal(omega=8.0, Gamma=0.717)
     steps = []
