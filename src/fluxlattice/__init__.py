@@ -24,7 +24,6 @@ from .config import (
 )
 from .core import (
     TWO_PI,
-    BoundaryPolicy,
     DriveSpec,
     LatticeWindow,
     WaveField,
@@ -34,7 +33,6 @@ from .core import (
     gauge_phase,
     phase_offsets,
     smoothed_delta_train,
-    waveform_G,
 )
 from .dynamics import IntegratorOptions, Trajectory, evolve_full, gaussian_input
 from .effective import (
@@ -81,7 +79,6 @@ __all__ = [
     "__version__",
     # core model
     "TWO_PI",
-    "BoundaryPolicy",
     "LatticeWindow",
     "WaveformKind",
     "Waveform",
@@ -90,7 +87,6 @@ __all__ = [
     "WaveField",
     "phase_offsets",
     "beta_site",
-    "waveform_G",
     "gauge_phase",
     # integration
     "IntegratorOptions",

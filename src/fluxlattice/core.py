@@ -36,7 +36,6 @@ from scipy.integrate import trapezoid
 TWO_PI = 2.0 * math.pi
 
 __all__ = [
-    "BoundaryPolicy",
     "LatticeWindow",
     "WaveformKind",
     "Waveform",
@@ -45,15 +44,8 @@ __all__ = [
     "WaveField",
     "phase_offsets",
     "beta_site",
-    "waveform_G",
     "gauge_phase",
 ]
-
-
-class BoundaryPolicy(enum.Enum):
-    """How amplitudes behave at the window edge."""
-
-    HARD_WALL = "hard_wall"
 
 
 @dataclass(frozen=True)
@@ -64,7 +56,6 @@ class LatticeWindow:
     n_max: int
     m_min: int
     m_max: int
-    boundary: BoundaryPolicy = BoundaryPolicy.HARD_WALL
 
     def __post_init__(self):
         if self.n_max < self.n_min or self.m_max < self.m_min:
@@ -345,11 +336,6 @@ def beta_site(drive: DriveSpec, window: LatticeWindow, t: float) -> np.ndarray:
     phi = phase_offsets(window, drive.sigma, drive.rho)
     h = drive.waveform.values(drive.omega * t + phi)
     return drive.beta0 + drive.F * window.m_grid + drive.A * h
-
-
-def waveform_G(waveform: Waveform, x, side: str = "right"):
-    """Antiderivative G(x) of the waveform; see Waveform.antiderivative."""
-    return waveform.antiderivative(x, side=side)
 
 
 class _GaugePhase:

@@ -49,7 +49,6 @@ from .core import (
     gauge_phase,
     phase_offsets,
 )
-from .hopping import EffectiveHoppings
 
 __all__ = [
     "IntegratorOptions",
@@ -82,33 +81,35 @@ class IntegratorOptions:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Sampled evolution: times, fields, and the monitoring record."""
+    """Sampled evolution: times, amplitudes, and the monitoring record.
+
+    ``amplitudes`` is one read-only complex array of shape (T, Nn, Nm):
+    row i is the field on ``window`` at ``times[i]``.  Wrap a single row as
+    ``WaveField(traj.window, traj.amplitudes[i])`` where a field is needed.
+    """
 
     times: np.ndarray
-    fields: tuple[WaveField, ...]
+    window: LatticeWindow
+    amplitudes: np.ndarray
     norms: np.ndarray
     edge_mass_max: float
     truncation_warning: bool
-    drive: DriveSpec | None = None
-    hoppings: EffectiveHoppings | None = None
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
-        if t.ndim != 1 or len(self.fields) != t.size:
-            raise ValueError("times and fields must have matching length")
+        if t.ndim != 1:
+            raise ValueError("times must be a 1-d sequence")
         if t.size > 1 and np.any(np.diff(t) <= 0.0):
             raise ValueError("times must be strictly increasing")
+        amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
+        if amps.shape != (t.size,) + self.window.shape:
+            raise ValueError(f"amplitudes shape {amps.shape} != "
+                             f"{(t.size,) + self.window.shape} (samples, window)")
         t.setflags(write=False)
+        amps.setflags(write=False)
         object.__setattr__(self, "times", t)
+        object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "norms", np.asarray(self.norms, dtype=float))
-
-    @property
-    def window(self) -> LatticeWindow:
-        return self.fields[0].window
-
-    def amplitude_stack(self) -> np.ndarray:
-        """Complex amplitudes as one (T, Nn, Nm) array."""
-        return np.stack([f.amplitudes for f in self.fields])
 
 
 # ---------------------------------------------------------------------------
@@ -252,22 +253,20 @@ def _integrate_sampled(psi, t_start, t_samples, h_cap, rhs_from, window,
 
 
 def _finish_trajectory(window, t_samples, amps, norms, edge_mass_max, opts,
-                       J_ref, t_start, drive=None, hoppings=None) -> Trajectory:
+                       J_ref, t_start) -> Trajectory:
     span = float(t_samples[-1]) - t_start
     budget = opts.norm_drift_tol * J_ref * max(span, 1e-30)
     drift = float(np.max(np.abs(norms - norms[0]))) if len(norms) > 1 else 0.0
     if drift > budget:
         warnings.warn(f"norm drift {drift:.3e} exceeds budget {budget:.3e}",
                       stacklevel=3)
-    fields = tuple(WaveField(window, amps[i]) for i in range(len(t_samples)))
     return Trajectory(
         times=np.asarray(t_samples, dtype=float),
-        fields=fields,
+        window=window,
+        amplitudes=amps,
         norms=norms,
         edge_mass_max=edge_mass_max,
         truncation_warning=bool(edge_mass_max > opts.edge_mass_tol),
-        drive=drive,
-        hoppings=hoppings,
     )
 
 
@@ -338,19 +337,21 @@ def evolve_full(initial: WaveField, drive: DriveSpec, J_x: float, J_y: float,
     for i, ts in enumerate(t):
         amps[i] *= np.exp(-1j * theta(float(ts), "right"))
     return _finish_trajectory(window, t, amps, norms, edge_max, opts, J_ref,
-                              t_start, drive=drive)
+                              t_start)
 
 
 def gaussian_input(window: LatticeWindow, width: float, tilt: float = 0.0,
-                   drive: DriveSpec | None = None, imprint: bool = False) -> WaveField:
+                   drive: DriveSpec | None = None, imprint: bool = False,
+                   t_start: float = 0.0) -> WaveField:
     """Normalized Gaussian input c ~ exp[-(n^2+m^2)/w^2 - i*tilt*n].
 
-    With imprint=True the static gauge pattern of the drive at t = 0 is
-    stamped on as exp(-i theta0), preparing a state that maps onto a clean
-    (tilted) Gaussian in the effective frame.  For the delta-kick train the
-    pre-kick branch of G is used: the integrator applies any t = 0 kick
-    itself, and imprinting the post-kick value too would count that kick
-    twice.
+    With imprint=True the gauge pattern of the drive at the preparation
+    time t_start is stamped on as exp(-i theta(t_start)), preparing a state
+    that maps onto a clean (tilted) Gaussian in the effective frame at
+    t_start; hand the same t_start to the integrator.  For the delta-kick
+    train the pre-kick branch of G is used: the integrator applies any kick
+    at t_start itself, and imprinting the post-kick value too would count
+    that kick twice.
     """
     if width <= 0.0:
         raise ValueError("width must be positive")
@@ -359,6 +360,6 @@ def gaussian_input(window: LatticeWindow, width: float, tilt: float = 0.0,
     if imprint:
         if drive is None:
             raise ValueError("imprint=True requires a drive")
-        psi = psi * np.exp(-1j * gauge_phase(drive, window, 0.0, side="left"))
+        psi = psi * np.exp(-1j * gauge_phase(drive, window, t_start, side="left"))
     psi = psi / math.sqrt(float(np.sum(np.abs(psi) ** 2)))
     return WaveField(window, psi)

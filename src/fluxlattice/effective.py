@@ -72,7 +72,7 @@ def evolve_effective(initial: WaveField, hoppings: EffectiveHoppings, t_samples,
     amps, norms, edge_max = _integrate_sampled(psi, t_start, t, h_cap,
                                                lambda _t_a: rhs, window)
     return _finish_trajectory(window, t, amps, norms, edge_max, opts, J_ref,
-                              t_start, hoppings=hoppings)
+                              t_start)
 
 
 def gauge_map(exact: WaveField, t: float, drive: DriveSpec,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.signal import find_peaks
 
-from .core import DriveSpec, TWO_PI
+from .core import DriveSpec, TWO_PI, WaveField
 from .dynamics import Trajectory
 from .effective import gauge_unmap
 
@@ -46,8 +46,7 @@ class FringeRecord:
 
 def vertical_profile(traj: Trajectory) -> FringeRecord:
     """Column-integrated intensities I_n(t) = sum_m |c[n,m]|^2 per sample."""
-    amps = traj.amplitude_stack()
-    profiles = np.sum(np.abs(amps) ** 2, axis=2)
+    profiles = np.sum(np.abs(traj.amplitudes) ** 2, axis=2)
     return FringeRecord(times=np.asarray(traj.times, dtype=float),
                         profiles=profiles,
                         n_values=traj.window.n_values.copy())
@@ -116,8 +115,7 @@ def revival_period(record: FringeRecord) -> float | None:
 
 def com_path(traj: Trajectory) -> np.ndarray:
     """Center of mass (<n>, <m>) per sample, shape (T, 2)."""
-    amps = traj.amplitude_stack()
-    weight = np.abs(amps) ** 2
+    weight = np.abs(traj.amplitudes) ** 2
     norms = weight.sum(axis=(1, 2))
     if np.any(norms <= 0.0):
         raise ValueError("zero-norm field in trajectory")
@@ -163,10 +161,11 @@ def model_deviation(full: Trajectory, effective: Trajectory,
     max_abs = np.empty(tf.size)
     infid = np.empty(tf.size)
     for i, t in enumerate(tf):
-        c = full.fields[i].amplitudes
-        f = effective.fields[i].amplitudes
+        c = full.amplitudes[i]
+        f = effective.amplitudes[i]
         max_abs[i] = float(np.max(np.abs(np.abs(c) - np.abs(f))))
-        mapped = gauge_unmap(effective.fields[i], float(t), drive).amplitudes
+        mapped = gauge_unmap(WaveField(effective.window, f), float(t),
+                             drive).amplitudes
         nc = float(np.sum(np.abs(c) ** 2))
         nf = float(np.sum(np.abs(f) ** 2))
         if nc <= 0.0 or nf <= 0.0:

@@ -20,7 +20,7 @@ import numpy as np
 
 from ._version import __version__
 from .config import Scenario, ValidationError, load_config
-from .core import TWO_PI
+from .core import WaveField
 from .dynamics import Trajectory, evolve_full, gaussian_input
 from .effective import (
     evolve_effective,
@@ -97,22 +97,29 @@ def _jsonable(obj):
     return obj
 
 
-def _sample_times(scenario: Scenario, omega: float) -> np.ndarray:
-    """Sample grid on [0, t_max]: uniform dt_sample or whole drive periods."""
-    if scenario.stroboscopic:
-        period = TWO_PI / omega
-        count = int(math.floor(scenario.t_max / period + 1e-9))
-        return np.arange(count + 1) * period
-    count = int(math.floor(scenario.t_max / scenario.dt_sample + 1e-9))
-    return np.arange(count + 1) * scenario.dt_sample
-
-
 def _hoppings(scenario: Scenario, drive):
     try:
         return hoppings_from_drive(drive, scenario.J_x, scenario.J_y,
                                    method=scenario.method)
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
+
+
+def _start(s: Scenario, drive):
+    """Sample times and the input at t_start, in the driven and effective frames.
+
+    Samples lie on [0, t_max], every dt_sample or every drive period.  Full,
+    effective, semiclassical and compare runs all start from this one
+    prepared state, so both frames describe the same state at t_start.  The
+    delta-kick train's pre-kick branch is used: a kick at t_start is still
+    to act, and the integrators apply it.
+    """
+    step = drive.period if s.stroboscopic else s.dt_sample
+    times = np.arange(int(math.floor(s.t_max / step + 1e-9)) + 1) * step
+    c0 = gaussian_input(s.window, s.width, s.tilt, drive=drive,
+                        imprint=s.imprint, t_start=s.t_start)
+    f0 = gauge_map(c0, s.t_start, drive, side="left")
+    return times, c0, f0
 
 
 # -- per-kind handlers --------------------------------------------------------
@@ -223,7 +230,7 @@ def _trajectory_products(s: Scenario, traj: Trajectory, out: Path,
             np.column_stack([traj.times, path]))))
         derived["com_final"] = [float(path[-1, 0]), float(path[-1, 1])]
     if s.out_fields:
-        final = traj.fields[-1].amplitudes
+        final = traj.amplitudes[-1]
         for part, data in (("re", final.real), ("im", final.imag)):
             # matrix layout: one row per m (ascending), one column per n
             files.append((f"field_final_{part}", _write_csv(
@@ -238,8 +245,7 @@ def _trajectory_products(s: Scenario, traj: Trajectory, out: Path,
 
 def _run_full(s: Scenario, out: Path):
     drive = s.drive
-    times = _sample_times(s, drive.omega)
-    c0 = gaussian_input(s.window, s.width, s.tilt, drive=drive, imprint=s.imprint)
+    times, c0, _ = _start(s, drive)
     traj = evolve_full(c0, drive, s.J_x, s.J_y, times, s.integrator, s.t_start)
     derived: dict = {}
     files: list = []
@@ -250,17 +256,15 @@ def _run_full(s: Scenario, out: Path):
 def _run_effective(s: Scenario, out: Path):
     drive = s.drive
     h = _hoppings(s, drive)
-    times = _sample_times(s, drive.omega)
-    c0 = gaussian_input(s.window, s.width, s.tilt, drive=drive, imprint=s.imprint)
-    f0 = gauge_map(c0, 0.0, drive, side="left")
+    times, _, f0 = _start(s, drive)
     traj = evolve_effective(f0, h, times, s.integrator, s.t_start)
     derived: dict = {"kappa_x": _cplx(h.kappa_x), "kappa_y": _cplx(h.kappa_y),
                      "alpha": h.alpha}
     files: list = []
     _trajectory_products(s, traj, out, derived, files)
     rows = []
-    for t, field in zip(traj.times, traj.fields):
-        k = expectation_kinematics(field, h)
+    for t, amps in zip(traj.times, traj.amplitudes):
+        k = expectation_kinematics(WaveField(traj.window, amps), h)
         rows.append([t, k.state.n_mean, k.state.m_mean,
                      k.state.Pn_mean, k.state.Pm_mean,
                      k.sin_Pn, k.sin_Pm, k.v_n, k.v_m])
@@ -274,10 +278,9 @@ def _run_effective(s: Scenario, out: Path):
 def _run_semiclassical(s: Scenario, out: Path):
     drive = s.drive
     h = _hoppings(s, drive)
-    times = _sample_times(s, drive.omega)
     # same prepared state as an effective run, reduced to its expectations
-    c0 = gaussian_input(s.window, s.width, s.tilt, drive=drive, imprint=s.imprint)
-    initial = expectation_kinematics(gauge_map(c0, 0.0, drive, side="left"), h).state
+    times, _, f0 = _start(s, drive)
+    initial = expectation_kinematics(f0, h).state
     states = semiclassical_evolve(initial, h, h.flux_angle, times)
     rows = [[t, st.n_mean, st.m_mean, st.Pn_mean, st.Pm_mean]
             for t, st in zip(times, states)]
@@ -308,13 +311,10 @@ def _run_compare(s: Scenario, out: Path):
     truncation = False
     for omega in s.omegas:
         drive = s.drive_for(omega)
-        times = _sample_times(s, omega)
-        c0 = gaussian_input(s.window, s.width, s.tilt, drive=drive,
-                            imprint=s.imprint)
+        times, c0, f0 = _start(s, drive)
         full = evolve_full(c0, drive, s.J_x, s.J_y, times, s.integrator,
                            s.t_start)
         h = _hoppings(s, drive)
-        f0 = gauge_map(c0, 0.0, drive, side="left")
         eff = evolve_effective(f0, h, times, s.integrator, s.t_start)
         dev = model_deviation(full, eff, drive)
         truncation = truncation or full.truncation_warning or eff.truncation_warning

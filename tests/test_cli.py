@@ -382,6 +382,48 @@ omegas = 20, 40
     assert len(meta["derived"]["peak_ratios"]) == 1
 
 
+def test_compare_prepares_both_models_at_t_start(tmp_path):
+    # a run that starts before the first sample must imprint and map its
+    # input at t_start, or the full and effective models start from
+    # different states and the deviation grows with omega
+    ini = """\
+[scenario]
+kind = compare
+label = early
+
+[drive]
+waveform = delta_kicks
+Gamma = 0.717
+M = 1
+sigma = pi
+rho = pi
+
+[coupling]
+J_x = 1
+J_y = 1
+
+[lattice]
+n_half = 8
+
+[input]
+width = 3
+imprint = true
+
+[time]
+t_max = 1
+t_start = -0.0785
+
+[compare]
+omegas = 20, 40
+"""
+    cfg = _write(tmp_path, "early.ini", ini)
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path), "--quiet"]) == 0
+    meta = json.loads((tmp_path / "early_meta.json").read_text())
+    peaks = meta["derived"]["peak_deviation"]
+    assert len(peaks) == 2
+    assert max(peaks) < 0.06, peaks
+
+
 def test_strict_mode_escalates_truncation(tmp_path):
     ini = """\
 [scenario]

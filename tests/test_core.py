@@ -16,7 +16,6 @@ from fluxlattice import (
     gauge_phase,
     phase_offsets,
     smoothed_delta_train,
-    waveform_G,
 )
 from fluxlattice.core import WaveformKind
 
@@ -263,4 +262,4 @@ def test_gauge_phase_delta_sides_differ_at_kick_times():
 
 def test_waveform_G_helper_matches_method():
     wf = Waveform.sinusoidal()
-    assert waveform_G(wf, 0.4) == pytest.approx(math.sin(0.4))
+    assert wf.antiderivative(0.4) == pytest.approx(math.sin(0.4))

@@ -11,6 +11,7 @@ from fluxlattice import (
     DriveSpec,
     IntegratorOptions,
     LatticeWindow,
+    Trajectory,
     WaveField,
     Waveform,
     evolve_effective,
@@ -76,9 +77,9 @@ def test_single_site_accumulates_modulation_phase():
     c0 = WaveField(w, np.ones((1, 1)))
     ts = np.array([0.3, 0.8, 1.7])
     traj = evolve_full(c0, d, 0.0, 0.0, ts)
-    for t, f in zip(ts, traj.fields):
+    for t, a in zip(ts, traj.amplitudes):
         phase = d.beta0 * t + d.Gamma * (math.sin(d.omega * t) - 0.0)
-        assert f.amplitudes[0, 0] == pytest.approx(np.exp(-1j * phase), abs=1e-7)
+        assert a[0, 0] == pytest.approx(np.exp(-1j * phase), abs=1e-7)
 
 
 def test_two_site_rabi_effective_and_full():
@@ -91,14 +92,14 @@ def test_two_site_rabi_effective_and_full():
     k = abs(h.kappa_y)
     ts = np.linspace(0.5, PI / k, 7)
     eff = evolve_effective(f0, h, ts)
-    for t, f in zip(ts, eff.fields):
-        assert abs(f.amplitudes[0, 1]) ** 2 == pytest.approx(
+    for t, a in zip(ts, eff.amplitudes):
+        assert abs(a[0, 1]) ** 2 == pytest.approx(
             math.sin(k * t) ** 2, abs=2e-7)
     # the driven run reproduces it stroboscopically up to O(1/omega)
     period = TWO_PI / 40.0
     t_str = np.arange(1, int(5.8 / period)) * period
     full = evolve_full(f0, d, 0.0, 0.5, t_str)
-    pops = np.array([abs(f.amplitudes[0, 1]) ** 2 for f in full.fields])
+    pops = np.array([abs(a[0, 1]) ** 2 for a in full.amplitudes])
     np.testing.assert_allclose(pops, np.sin(k * t_str) ** 2, atol=0.05)
 
 
@@ -137,8 +138,8 @@ def test_smooth_drive_against_dense_reference(waveform):
     ref = solve_ivp(rhs, (0.0, ts[-1]), amps.ravel().astype(complex),
                     method="DOP853", t_eval=ts, rtol=1e-12, atol=1e-12)
     assert ref.success
-    for si, f in enumerate(traj.fields):
-        np.testing.assert_allclose(f.amplitudes.ravel(), ref.y[:, si], atol=5e-7)
+    for si, a in enumerate(traj.amplitudes):
+        np.testing.assert_allclose(a.ravel(), ref.y[:, si], atol=5e-7)
 
 
 def test_step_does_not_grow_with_window_height(monkeypatch):
@@ -178,7 +179,7 @@ def test_kick_phase_pattern_no_hopping():
     expect = (np.ones((3, 3)) / 3.0
               * np.exp(-1j * d.F * m * t)
               * np.exp(-1j * 0.6 * (-1.0) ** (n + m)))
-    np.testing.assert_allclose(traj.fields[0].amplitudes, expect, atol=1e-9)
+    np.testing.assert_allclose(traj.amplitudes[0], expect, atol=1e-9)
 
 
 def test_kick_engine_against_dense_reference():
@@ -241,7 +242,7 @@ def test_kick_engine_against_dense_reference():
                 k += 1
             psi = propagate(psi, t_target - t_cur)
             t_cur = t_target
-            np.testing.assert_allclose(traj.fields[si].amplitudes.ravel(), psi,
+            np.testing.assert_allclose(traj.amplitudes[si].ravel(), psi,
                                        atol=1e-7)
 
 
@@ -259,8 +260,8 @@ def test_delta_kicks_converge_to_smoothed_drive():
     t_start = -0.25 * T  # cover the t = 0 pulse of the smooth drive in full
     r1 = evolve_full(c0, dk, 0.5, 0.5, ts, t_start=t_start)
     r2 = evolve_full(c0, sm, 0.5, 0.5, ts, t_start=t_start)
-    mismatch = max(np.max(np.abs(np.abs(a.amplitudes) - np.abs(b.amplitudes)))
-                   for a, b in zip(r1.fields, r2.fields))
+    mismatch = max(np.max(np.abs(np.abs(a) - np.abs(b)))
+                   for a, b in zip(r1.amplitudes, r2.amplitudes))
     assert mismatch < 2e-3
 
 
@@ -307,6 +308,16 @@ def test_sample_grid_validation():
         evolve_full(c0, d, 1.0, 1.0, [0.1], t_start=0.2)
     with pytest.raises(ValueError, match="dt_max"):
         IntegratorOptions(dt_max=-0.1)
+    traj = evolve_full(c0, d, 1.0, 1.0, [0.1, 0.2])
+    with pytest.raises(ValueError, match="amplitudes shape"):
+        Trajectory(times=traj.times, window=w, amplitudes=traj.amplitudes[:1],
+                   norms=traj.norms, edge_mass_max=0.0, truncation_warning=False)
+    with pytest.raises(ValueError, match="amplitudes shape"):
+        Trajectory(times=traj.times, window=LatticeWindow(0, 1, 0, 0),
+                   amplitudes=traj.amplitudes, norms=traj.norms,
+                   edge_mass_max=0.0, truncation_warning=False)
+    with pytest.raises(ValueError, match="read-only"):
+        traj.amplitudes[0, 0, 0] = 0.0
 
 
 # -- input states -------------------------------------------------------------------
@@ -346,9 +357,8 @@ def _row_input(window, width):
     return WaveField(window, psi / np.linalg.norm(psi))
 
 
-def _m_stats(field):
-    w = field.window
-    weight = np.abs(field.amplitudes) ** 2
+def _m_stats(w, amps):
+    weight = np.abs(amps) ** 2
     weight /= weight.sum()
     m1 = float(np.sum(w.m_grid * weight))
     m2 = float(np.sum(w.m_grid ** 2 * weight))
@@ -362,8 +372,8 @@ def test_gradient_freezes_vertical_motion():
     d = _sinusoidal(Gamma=0.0)
     c0 = _row_input(w, 3.0)
     traj = evolve_full(c0, d, 1.0, 1.0, np.linspace(1.0, 5.0, 5))
-    for f in traj.fields:
-        m1, m_std = _m_stats(f)
+    for a in traj.amplitudes:
+        m1, m_std = _m_stats(w, a)
         assert abs(m1) < 0.05
         assert m_std < 0.5
 
@@ -376,7 +386,7 @@ def test_modulation_restores_vertical_tunneling():
     k_y = abs(hoppings_from_drive(d, 1.0, 1.0).kappa_y)
     c0 = _row_input(w, 3.0)
     traj = evolve_full(c0, d, 1.0, 1.0, [5.0])
-    m1, m_std = _m_stats(traj.fields[0])
+    m1, m_std = _m_stats(w, traj.amplitudes[0])
     assert abs(m1) < 0.5
     assert m_std == pytest.approx(math.sqrt(2.0) * k_y * 5.0, rel=0.1)
     assert m_std > 2.0
@@ -394,7 +404,7 @@ def test_modulation_restores_ballistic_transport():
     from fluxlattice import gauge_unmap
     c0 = gauge_unmap(WaveField(w, bare), 0.0, d, side="left")
     traj = evolve_full(c0, d, 1.0, 1.0, [3.0])
-    m1, _ = _m_stats(traj.fields[0])
+    m1, _ = _m_stats(w, traj.amplitudes[0])
     k_y = abs(hoppings_from_drive(d, 1.0, 1.0).kappa_y)
     drift = 2.0 * k_y * math.sin(PI / 2) * math.exp(-1 / 50.0) * 3.0
     assert abs(m1) > 0.5
@@ -403,8 +413,8 @@ def test_modulation_restores_ballistic_transport():
     off = _sinusoidal(sigma=0.0, Gamma=0.0)
     ctrl = evolve_full(WaveField(w, bare), off, 1.0, 1.0,
                        np.linspace(0.5, 3.0, 6))
-    for f in ctrl.fields:
-        m1c, _ = _m_stats(f)
+    for a in ctrl.amplitudes:
+        m1c, _ = _m_stats(w, a)
         assert abs(m1c) < 0.3
 
 

@@ -58,7 +58,7 @@ def test_one_dimensional_chain_bessel_propagator():
     traj = evolve_effective(WaveField(w, amps), h, [2.0])
     n = np.arange(-15, 16)
     expect = (1j ** n) * jv(n, 2.0 * 0.5 * 2.0)
-    np.testing.assert_allclose(traj.fields[0].amplitudes[:, 0], expect, atol=1e-8)
+    np.testing.assert_allclose(traj.amplitudes[0][:, 0], expect, atol=1e-8)
 
 
 # -- gauge maps -------------------------------------------------------------------
@@ -125,7 +125,7 @@ def test_ehrenfest_velocities_match_com_motion():
     dt = 0.01
     traj = evolve_effective(field, h, [0.5 - dt, 0.5, 0.5 + dt])
     com = com_path(traj)
-    k = expectation_kinematics(traj.fields[1], h)
+    k = expectation_kinematics(WaveField(w, traj.amplitudes[1]), h)
     assert (com[2, 0] - com[0, 0]) / (2 * dt) == pytest.approx(k.v_n, abs=1e-4)
     assert (com[2, 1] - com[0, 1]) / (2 * dt) == pytest.approx(k.v_m, abs=1e-4)
 

@@ -11,7 +11,6 @@ from fluxlattice import (
     FringeRecord,
     LatticeWindow,
     Trajectory,
-    WaveField,
     Waveform,
     central_columns,
     com_path,
@@ -29,9 +28,11 @@ PI = math.pi
 
 
 def _trajectory_from_amps(window, times, amp_list):
-    fields = tuple(WaveField(window, a) for a in amp_list)
-    norms = np.array([f.norm_sq for f in fields])
-    return Trajectory(np.asarray(times, dtype=float), fields, norms, 0.0, False)
+    amps = np.array(amp_list, dtype=complex)
+    norms = np.sum(np.abs(amps) ** 2, axis=(1, 2))
+    return Trajectory(times=np.asarray(times, dtype=float), window=window,
+                      amplitudes=amps, norms=norms, edge_mass_max=0.0,
+                      truncation_warning=False)
 
 
 # -- profiles and visibility -------------------------------------------------------
