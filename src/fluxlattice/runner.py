@@ -97,10 +97,11 @@ def _jsonable(obj):
     return obj
 
 
-def _hoppings(scenario: Scenario, drive):
+def _hoppings(scenario: Scenario, drive, method: str | None = None):
+    """Effective hoppings by ``method`` (the scenario's by default)."""
     try:
         return hoppings_from_drive(drive, scenario.J_x, scenario.J_y,
-                                   method=scenario.method)
+                                   method=method or scenario.method)
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
 
@@ -134,11 +135,7 @@ def _run_hoppings(s: Scenario, out: Path):
     rows, derived = [], {}
     routes = {}
     for method in methods:
-        try:
-            h = hoppings_from_drive(drive, s.J_x, s.J_y, method=method)
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from exc
-        routes[method] = h
+        h = routes[method] = _hoppings(s, drive, method)
         rows.append([method, h.kappa_x.real, h.kappa_x.imag,
                      h.kappa_y.real, h.kappa_y.imag,
                      abs(h.kappa_x), abs(h.kappa_y), h.alpha, h.flux_angle])

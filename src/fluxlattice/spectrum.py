@@ -9,9 +9,13 @@ eigenproblem per quasimomentum,
              - 2 |kappa_y| cos(ky + 2 pi alpha n + arg kappa_y) u[n],
 
 (indices mod q, so q = 1 and q = 2 pick up both wrap-around couplings on
-the same entry).  Sweeping (kx, ky) over [0, 2 pi / q) x [0, 2 pi)
-accumulates the eigenvalue branches into exactly q bands, touching where
-gaps close; collecting bands over many rationals yields the Hofstadter
+the same entry).  The hopping phases only shift the quasimomenta, to
+kx' = kx + arg kappa_x and ky' = ky + arg kappa_y, and by Chambers'
+relation (Chambers 1965; Hofstadter, PRB 14, 2239 (1976)) det(E - H)
+depends on them only through cos(q kx') and cos(q ky').  Every band edge is
+therefore an eigenvalue at one of the four points kx', ky' in {0, pi/q}:
+the edges are exact, need no k-grid, and depend on |kappa_x| and |kappa_y|
+alone.  Collecting bands over many rationals yields the Hofstadter
 butterfly.
 """
 
@@ -98,55 +102,48 @@ class BandSet:
         return sum(hi - lo for lo, hi in self.intervals)
 
 
-def _bloch_eigenvalues(hoppings: EffectiveHoppings, flux: RationalFlux,
-                       k_grid: int) -> np.ndarray:
+def _chambers_eigenvalues(kappa_x_abs: float, kappa_y_abs: float,
+                          flux: RationalFlux) -> np.ndarray:
+    """Bloch eigenvalues, shape (4, q) and ascending, at kx', ky' in {0, pi/q}."""
     q = flux.q
     alpha = flux.p / flux.q
-    kx = np.arange(k_grid) * (TWO_PI / q / k_grid)
-    ky = np.arange(k_grid) * (TWO_PI / k_grid)
-    ay = math.atan2(hoppings.kappa_y.imag, hoppings.kappa_y.real)
+    k = np.array([0.0, math.pi / q])
     n = np.arange(q)
-    diag = -2.0 * abs(hoppings.kappa_y) * np.cos(
-        ky[:, None] + TWO_PI * alpha * n[None, :] + ay)  # (Ky, q)
-    H = np.zeros((k_grid, k_grid, q, q), dtype=complex)
+    diag = -2.0 * kappa_y_abs * np.cos(k[:, None] + TWO_PI * alpha * n[None, :])
+    H = np.zeros((2, 2, q, q), dtype=complex)  # (kx', ky', q, q)
     H[:, :, n, n] = diag[None, :, :]
-    hop = -hoppings.kappa_x * np.exp(1j * kx)  # (Kx,)
+    hop = -kappa_x_abs * np.exp(1j * k)
     for j in range(q):
         H[:, :, j, (j + 1) % q] += hop[:, None]
         H[:, :, (j + 1) % q, j] += np.conj(hop)[:, None]
     herm_defect = float(np.max(np.abs(H - np.conj(np.swapaxes(H, -1, -2)))))
-    scale = max(abs(hoppings.kappa_x), abs(hoppings.kappa_y), 1e-300)
+    scale = max(kappa_x_abs, kappa_y_abs, 1e-300)
     if herm_defect > 1e-12 * scale:
         raise AssertionError(f"Bloch matrix not hermitian: defect {herm_defect:.3e}")
-    return np.linalg.eigvalsh(H)  # (Kx, Ky, q), ascending
+    return np.linalg.eigvalsh(H).reshape(4, q)
 
 
 def harper_bands(hoppings: EffectiveHoppings, flux: RationalFlux,
                  k_grid: int = 64) -> BandSet:
-    """Energy bands over the magnetic Brillouin zone.
+    """Exact energy bands over the magnetic Brillouin zone.
 
-    Eigenvalue branches (by sorted index) are accumulated into intervals;
-    branches whose ranges genuinely overlap beyond the merge tolerance
-    1e-6 * max|kappa| are merged, while gaps within tolerance of zero are
-    kept as distinct point-touching bands.
+    Band b spans the least to the greatest b-th eigenvalue at the four
+    Chambers points; adjacent bands whose gap is within 1e-6 * max|kappa|
+    of zero are flagged as point-touching.  Harper bands never overlap, so
+    a gap below -1e-6 * max|kappa| raises AssertionError.  ``k_grid`` (>= 32)
+    is validated and recorded in the BandSet but does not affect the edges.
     """
     if k_grid < 32:
         raise ValueError("k_grid must be >= 32")
-    evals = _bloch_eigenvalues(hoppings, flux, k_grid)
-    tol = 1e-6 * max(abs(hoppings.kappa_x), abs(hoppings.kappa_y))
-    intervals: list[list[float]] = []
-    touching: list[bool] = []
-    for b in range(flux.q):
-        lo = float(evals[..., b].min())
-        hi = float(evals[..., b].max())
-        if intervals:
-            gap = lo - intervals[-1][1]
-            if gap < -tol:
-                intervals[-1][1] = max(intervals[-1][1], hi)
-                continue
-            touching.append(bool(abs(gap) <= tol))
-        intervals.append([lo, hi])
-    return BandSet(tuple((lo, hi) for lo, hi in intervals), tuple(touching), k_grid)
+    kx, ky = abs(hoppings.kappa_x), abs(hoppings.kappa_y)
+    evals = _chambers_eigenvalues(kx, ky, flux)
+    lo, hi = evals.min(axis=0), evals.max(axis=0)
+    tol = 1e-6 * max(kx, ky)
+    gaps = lo[1:] - hi[:-1]
+    if np.any(gaps < -tol):
+        raise AssertionError(f"Harper bands overlap by {-gaps.min():.3e}")
+    return BandSet(tuple(zip(lo.tolist(), hi.tolist())),
+                   tuple(bool(abs(g) <= tol) for g in gaps), k_grid)
 
 
 def band_count(hoppings: EffectiveHoppings, flux: RationalFlux,
@@ -156,17 +153,17 @@ def band_count(hoppings: EffectiveHoppings, flux: RationalFlux,
 
 
 def butterfly(ratio: float, flux_list, k_grid: int = 64) -> np.ndarray:
-    """Band intervals over many fluxes, for kappa_y / kappa_x = ratio.
+    """Band intervals over many fluxes, for |kappa_y / kappa_x| = ratio.
 
     Energies are in units of kappa_x.  Returns rows (alpha, E_min, E_max),
     one per band, ordered by flux then energy — the Hofstadter-butterfly
-    dataset for plotting.
+    dataset for plotting.  ``k_grid`` (>= 32) is validated but does not
+    affect the edges, which are exact.
     """
+    if k_grid < 32:
+        raise ValueError("k_grid must be >= 32")
     rows = []
     for flux in flux_list:
-        hoppings = EffectiveHoppings(
-            kappa_x=1.0, kappa_y=ratio, alpha=flux.alpha,
-            M=1, sigma=TWO_PI * flux.alpha, rho=math.pi)
-        bands = harper_bands(hoppings, flux, k_grid)
-        rows.extend((flux.alpha, lo, hi) for lo, hi in bands.intervals)
+        evals = _chambers_eigenvalues(1.0, abs(ratio), flux)
+        rows.extend(zip([flux.alpha] * flux.q, evals.min(axis=0), evals.max(axis=0)))
     return np.array(rows, dtype=float)

@@ -230,17 +230,21 @@ def test_metadata_rerun_is_reproducible(tmp_path):
 
 
 def test_run_spectrum_bands(tmp_path):
-    ini = HOPPINGS_INI.replace("kind = hoppings", "kind = spectrum")
-    ini = ini.replace("label = hop", "label = sp")
-    ini += "\n[spectrum]\nflux = 1/2\nk_grid = 64\n"
-    cfg = _write(tmp_path, "sp.ini", ini)
-    assert main(["run", str(cfg), "--out-dir", str(tmp_path), "--quiet"]) == 0
-    header, rows = _read_csv(tmp_path / "sp_bands.csv")
-    assert header == ["band", "E_min", "E_max", "touching_next"]
-    assert len(rows) == 2
-    meta = json.loads((tmp_path / "sp_meta.json").read_text())
-    assert meta["derived"]["band_count"] == 2
-    assert meta["derived"]["touching"] == [True]
+    # rho = 2 pi / 3 makes kappa_y complex; the alpha = 1/2 bands still touch
+    for case, rho in enumerate(("pi", "2*pi/3")):
+        ini = HOPPINGS_INI.replace("kind = hoppings", "kind = spectrum")
+        ini = ini.replace("label = hop", "label = sp")
+        ini = ini.replace("rho = pi", f"rho = {rho}")
+        ini += "\n[spectrum]\nflux = 1/2\nk_grid = 64\n"
+        out = tmp_path / str(case)
+        cfg = _write(tmp_path, "sp.ini", ini)
+        assert main(["run", str(cfg), "--out-dir", str(out), "--quiet"]) == 0
+        header, rows = _read_csv(out / "sp_bands.csv")
+        assert header == ["band", "E_min", "E_max", "touching_next"]
+        assert len(rows) == 2
+        meta = json.loads((out / "sp_meta.json").read_text())
+        assert meta["derived"]["band_count"] == 2
+        assert meta["derived"]["touching"] == [True]
 
 
 def test_run_butterfly(tmp_path):

@@ -5,15 +5,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from fluxlattice import (
     BandSet,
+    DriveSpec,
     EffectiveHoppings,
     RationalFlux,
     band_count,
     butterfly,
+    Waveform,
     farey_fluxes,
     harper_bands,
+    hoppings_from_drive,
 )
 
 PI = math.pi
@@ -94,6 +98,56 @@ def test_band_set_validation():
     with pytest.raises(ValueError, match="k_grid"):
         h = _hoppings(1.0, 1.0, RationalFlux(1, 2))
         harper_bands(h, RationalFlux(1, 2), k_grid=16)
+
+
+@pytest.mark.parametrize("k_grid", [32, 64, 128])
+def test_half_flux_touches_for_complex_kappa_y(k_grid):
+    # rho = 2 pi / 3 gives arg kappa_y = -30 degrees, which moves the Dirac
+    # points off any unshifted k-grid; the bands still touch at E = 0
+    drive = DriveSpec.resonant(omega=8.0, Gamma=0.717, M=1, sigma=PI,
+                               rho=2 * PI / 3, waveform=Waveform.sinusoidal())
+    h = hoppings_from_drive(drive, 1.0, 1.0)
+    assert math.degrees(np.angle(h.kappa_y)) == pytest.approx(-30.0)
+    bands = harper_bands(h, RationalFlux(1, 2), k_grid)
+    assert bands.touching == (True,)
+    assert abs(bands.intervals[1][0] - bands.intervals[0][1]) <= 1e-12
+
+
+def _bloch_matrix(kappa_x, kappa_y, flux, kx, ky):
+    # the Bloch matrix with complex hoppings, written out independently
+    q = flux.q
+    h = np.zeros((q, q), dtype=complex)
+    for n in range(q):
+        h[n, n] = -2 * abs(kappa_y) * math.cos(
+            ky + 2 * PI * flux.alpha * n + np.angle(kappa_y))
+        h[n, (n + 1) % q] += -kappa_x * np.exp(1j * kx)
+        h[(n + 1) % q, n] += -np.conj(kappa_x) * np.exp(-1j * kx)
+    return h
+
+
+_coprime_flux = st.integers(1, 9).flatmap(
+    lambda q: st.sampled_from([p for p in range(q) if math.gcd(p, q) == 1])
+    .map(lambda p: RationalFlux(p, q)))
+_kappa = st.builds(lambda r, phi: r * np.exp(1j * phi),
+                   st.floats(0.1, 2.0), st.floats(-PI, PI))
+
+
+@given(kappa_x=_kappa, kappa_y=_kappa, flux=_coprime_flux)
+def test_exact_edges_bound_a_dense_grid(kappa_x, kappa_y, flux):
+    q = flux.q
+    bands = harper_bands(_hoppings(kappa_x, kappa_y, flux), flux)
+    assert len(bands.intervals) == q
+    lo, hi = np.array(bands.intervals).T
+    grid = np.array([np.linalg.eigvalsh(_bloch_matrix(kappa_x, kappa_y, flux, kx, ky))
+                     for kx in np.linspace(0.0, 2 * PI / q, 24, endpoint=False)
+                     for ky in np.linspace(0.0, 2 * PI, 48, endpoint=False)])
+    assert np.all(grid >= lo - 1e-9) and np.all(grid <= hi + 1e-9)
+    shifted = np.array([np.linalg.eigvalsh(_bloch_matrix(kappa_x, kappa_y, flux,
+                                                         -np.angle(kappa_x) + dx,
+                                                         -np.angle(kappa_y) + dy))
+                        for dx in (0.0, PI / q) for dy in (0.0, PI / q)])
+    np.testing.assert_allclose(shifted.min(axis=0), lo, atol=1e-9)
+    np.testing.assert_allclose(shifted.max(axis=0), hi, atol=1e-9)
 
 
 def test_total_bandwidth_shrinks_with_flux():
