@@ -89,19 +89,12 @@ _KIND_SECTIONS = {
 # -- token parsing ----------------------------------------------------------
 
 def parse_real(value) -> float:
-    """Real number: decimal, fraction a/b, or pi expression like '2*pi/3'."""
+    """Finite real: decimal, fraction a/b, or pi expression like '2*pi/3'."""
     if isinstance(value, bool):
         raise ConfigError(f"expected a real number, got boolean {value!r}")
-    if isinstance(value, (int, float)):
-        return float(value)
     s = str(value).strip().replace(" ", "")
-    try:
-        return float(s)
-    except ValueError:
-        pass
-    sign = 1.0
+    sign = -1.0 if s[:1] == "-" else 1.0
     if s[:1] in ("+", "-"):
-        sign = -1.0 if s[0] == "-" else 1.0
         s = s[1:]
     num, _, den = s.partition("/")
 
@@ -113,10 +106,12 @@ def parse_real(value) -> float:
         return float(tok)
 
     try:
-        result = atom(num) / (atom(den) if den else 1.0)
+        result = sign * atom(num) / (atom(den) if den else 1.0)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"cannot parse real number {value!r}") from exc
-    return sign * result
+    if not math.isfinite(result):
+        raise ConfigError(f"expected a finite real number, got {value!r}")
+    return result
 
 
 def parse_int(value) -> int:

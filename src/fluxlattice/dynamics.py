@@ -63,11 +63,12 @@ _LINK_PHASE_STEP = 0.02
 
 @dataclass(frozen=True)
 class IntegratorOptions:
-    """Step cap and monitoring tolerances for the fixed-step integrator.
+    """Step cap of evolve_full and monitoring tolerances of both models.
 
-    dt_max = None resolves to min(0.01/J, 0.02 * drive period);
-    norm_drift_tol is a budget per unit J*t; edge_mass_tol flags window
-    truncation when the boundary ring carries more relative intensity.
+    dt_max = None resolves to min(0.01/J, 0.02 * drive period); the exact
+    evolve_effective ignores it.  norm_drift_tol is a budget per unit J*t;
+    edge_mass_tol flags window truncation when the boundary ring carries
+    more relative intensity.
     """
 
     dt_max: float | None = None
@@ -151,12 +152,10 @@ def _edge_indices(window: LatticeWindow) -> np.ndarray:
 
 
 def _step_size(opts: IntegratorOptions, J_ref: float, lam: float,
-               period: float | None = None, nu: float = 0.0) -> float:
+               period: float, nu: float) -> float:
     h = opts.dt_max
     if h is None:
-        h = 0.01 / J_ref
-        if period is not None:
-            h = min(h, 0.02 * period)
+        h = min(0.01 / J_ref, 0.02 * period)
     if nu > 0.0:
         h = min(h, _LINK_PHASE_STEP / nu)
     if lam > 0.0 and opts.norm_drift_tol > 0.0:
@@ -219,32 +218,23 @@ def _kick_times(drive: DriveSpec, window: LatticeWindow, t0: float,
     return np.unique(times)
 
 
-def _integrate_sampled(psi, t_start, t_samples, h_cap, rhs_from, window,
-                       breakpoints=()):
+def _integrate_sampled(psi, t_start, t_samples, advance, window):
     """Advance psi from t_start, emitting samples at exactly t_samples.
 
-    ``rhs_from(t_a)`` returns the right-hand side f(t, v) for the span that
-    starts at t_a.  RK4 never steps across a breakpoint; one within 1e-9 of
-    t_start or of a sample time coincides with it.  Returns (amps, norms,
-    edge_mass_max).
+    ``advance(psi, t_a, t_b)`` returns the state at t_b > t_a from psi at
+    t_a; a sample at or before the current time repeats the current state.
+    Returns (amps, norms, edge_mass_max).
     """
-    Nn, Nm = window.shape
     edge = _edge_indices(window)
-    amps = np.empty((len(t_samples), Nn, Nm), dtype=complex)
+    amps = np.empty((len(t_samples),) + window.shape, dtype=complex)
     norms = np.empty(len(t_samples))
     edge_mass_max = 0.0
-    stops = iter(np.asarray(breakpoints, dtype=float))
-    tb = next(stops, math.inf)
     t_cur = t_start
     for si, ts in enumerate(t_samples):
-        while tb < ts - 1e-9:
-            if tb > t_cur + 1e-9:
-                psi = _rk4_span(psi, t_cur, tb, h_cap, rhs_from(t_cur))
-                t_cur = tb
-            tb = next(stops, math.inf)
-        psi = _rk4_span(psi, t_cur, ts, h_cap, rhs_from(t_cur))
-        t_cur = max(t_cur, ts)
-        amps[si] = psi.reshape(Nn, Nm)
+        if ts > t_cur:
+            psi = advance(psi, t_cur, ts)
+            t_cur = ts
+        amps[si] = psi.reshape(window.shape)
         norms[si] = float(np.vdot(psi, psi).real)
         if norms[si] > 0.0:
             edge_mass_max = max(edge_mass_max,
@@ -308,10 +298,10 @@ def evolve_full(initial: WaveField, drive: DriveSpec, J_x: float, J_y: float,
 
     J_ref = max(abs(J_x), abs(J_y)) or 1.0
     wf = drive.waveform
-    breakpoints = ()
+    stops = np.empty(0)
     if wf.kind is WaveformKind.DELTA_KICKS:
         nu = abs(drive.F)
-        breakpoints = _kick_times(drive, window, t_start, float(t[-1]))
+        stops = _kick_times(drive, window, t_start, float(t[-1]))
     else:
         nu = abs(drive.F) + 2.0 * abs(drive.A) * wf.pointwise_bound
     h_cap = _step_size(opts, J_ref, 2.0 * (abs(J_x) + abs(J_y)),
@@ -332,8 +322,15 @@ def evolve_full(initial: WaveField, drive: DriveSpec, J_x: float, J_y: float,
             return e * (Hm @ (e_conj * v))
         return rhs
 
-    amps, norms, edge_max = _integrate_sampled(f, t_start, t, h_cap, rhs_from,
-                                               window, breakpoints)
+    def advance(psi, t_a, t_b):
+        # no RK4 step crosses a kick; one within 1e-9 of t_a or t_b
+        # coincides with it
+        for tb in stops[(stops > t_a + 1e-9) & (stops < t_b - 1e-9)]:
+            psi = _rk4_span(psi, t_a, tb, h_cap, rhs_from(t_a))
+            t_a = tb
+        return _rk4_span(psi, t_a, t_b, h_cap, rhs_from(t_a))
+
+    amps, norms, edge_max = _integrate_sampled(f, t_start, t, advance, window)
     for i, ts in enumerate(t):
         amps[i] *= np.exp(-1j * theta(float(ts), "right"))
     return _finish_trajectory(window, t, amps, norms, edge_max, opts, J_ref,

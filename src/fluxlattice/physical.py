@@ -10,6 +10,7 @@ propagation; transverse geometry in meters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .core import TWO_PI
@@ -55,15 +56,16 @@ def physical_units(J_per_cm: float, Gamma: float, omega_over_J: float, M: int,
         A = Gamma * omega                 delta_n = lambda A / (2 pi)
         L = J_t_max / J
 
-    J in 1/cm; d and lambda in meters; Gamma >= 0, everything else > 0,
-    M a positive integer.
+    J in 1/cm; d and lambda in meters; every input finite, Gamma >= 0,
+    everything else > 0, M a positive integer.
     """
     if isinstance(M, bool) or not isinstance(M, int) or M < 1:
         raise ValueError("M must be a positive integer")
-    if min(J_per_cm, omega_over_J, d_m, lambda_m, n_s, J_t_max) <= 0.0:
-        raise ValueError("inputs must be positive")
-    if Gamma < 0.0:
-        raise ValueError("Gamma cannot be negative")
+    positive = (J_per_cm, omega_over_J, d_m, lambda_m, n_s, J_t_max)
+    if not all(0.0 < v < math.inf for v in positive):
+        raise ValueError("inputs must be positive and finite")
+    if not 0.0 <= Gamma < math.inf:
+        raise ValueError("Gamma must be finite and not negative")
     omega = omega_over_J * J_per_cm
     F = M * omega
     R_cm = TWO_PI * n_s * (d_m / lambda_m) / F

@@ -83,6 +83,16 @@ def test_parse_real_rejections():
         parse_real("1/0")
 
 
+@pytest.mark.parametrize("value", [
+    "inf", "-inf", "nan", "Infinity", "inf/2", "1e400", "inf*pi",
+    math.inf, -math.inf, math.nan, 10 ** 400,
+], ids=["inf", "-inf", "nan", "Infinity", "inf/2", "1e400", "inf*pi",
+        "float-inf", "float--inf", "float-nan", "int-10**400"])
+def test_parse_real_rejects_non_finite(value):
+    with pytest.raises(ConfigError, match="finite"):
+        parse_real(value)
+
+
 def test_parse_scalar_helpers():
     assert parse_int("7") == 7
     with pytest.raises(ConfigError):
@@ -486,6 +496,65 @@ def test_exit_codes_for_broken_configs(tmp_path, capsys):
     assert main(["validate", str(wrong)]) == 3
     err = capsys.readouterr().err
     assert "config error" in err and "validation error" in err
+
+
+EFFECTIVE_INI = """\
+[scenario]
+kind = effective_evolve
+label = eff
+
+[drive]
+waveform = sinusoidal
+omega = 8
+Gamma = 0.717
+M = 1
+sigma = pi
+rho = pi
+
+[coupling]
+J_x = 1
+J_y = 1
+
+[lattice]
+n_half = 2
+
+[input]
+width = 1.5
+
+[time]
+t_max = 0.4
+dt_sample = 0.2
+
+[integrator]
+dt_max = 0.01
+norm_drift_tol = 1e-8
+"""
+
+
+@pytest.mark.parametrize("line, bad", [
+    ("t_max = 0.4", "t_max = inf"),
+    ("dt_max = 0.01", "dt_max = nan"),
+    ("omega = 8", "omega = nan"),
+    ("norm_drift_tol = 1e-8", "norm_drift_tol = nan"),
+])
+def test_non_finite_numbers_fail_at_load(tmp_path, capsys, line, bad):
+    good = _write(tmp_path, "good.ini", EFFECTIVE_INI)
+    assert main(["validate", str(good)]) == 0
+    cfg = _write(tmp_path, "bad.ini", EFFECTIVE_INI.replace(line, bad))
+    assert main(["validate", str(cfg)]) == 2
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path), "--quiet"]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not list(tmp_path.glob("eff_*"))
+
+
+def test_units_command_rejects_non_finite(capsys):
+    argv = ["units", "--J", "1", "--Gamma", "0.717", "--omega-over-J", "8",
+            "--d", "19e-6", "--wavelength", "633e-9", "--n-s", "1.45"]
+    for flag, value in (("--J", "nan"), ("--Gamma", "inf"), ("--d", "inf")):
+        bad = list(argv)
+        bad[bad.index(flag) + 1] = value
+        assert main(bad) == 3
+        assert "finite" in capsys.readouterr().err
 
 
 def test_sweep_expands_grid(tmp_path, capsys):

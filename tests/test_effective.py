@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import expm_multiply
 from scipy.special import jv
 
 from fluxlattice import (
     DriveSpec,
     EffectiveHoppings,
+    IntegratorOptions,
     LatticeWindow,
     SemiclassicalState,
     WaveField,
@@ -59,6 +61,56 @@ def test_one_dimensional_chain_bessel_propagator():
     n = np.arange(-15, 16)
     expect = (1j ** n) * jv(n, 2.0 * 0.5 * 2.0)
     np.testing.assert_allclose(traj.amplitudes[0][:, 0], expect, atol=1e-8)
+
+
+def _random_field(rng, w):
+    amps = rng.normal(size=w.shape) + 1j * rng.normal(size=w.shape)
+    return WaveField(w, amps / np.linalg.norm(amps))
+
+
+def _expm_reference(field, h, ts, t_start=0.0):
+    # exp(-i H (t - t_start)) applied to the input, one oracle call per sample
+    A = -1j * effective_matrix(field.window, h).tocsc()
+    psi = field.amplitudes.ravel()
+    return np.array([expm_multiply(A * (t - t_start), psi) for t in ts])
+
+
+@pytest.mark.parametrize("case", ["dense", "stroboscopic", "t_start",
+                                  "zero_hoppings", "long_span"])
+def test_propagator_matches_expm_multiply(rng, case):
+    h = _fig_hoppings()
+    w = LatticeWindow.centered(12, 10)
+    ts, t_start = np.linspace(0.0, 2.0, 201), 0.0
+    if case == "stroboscopic":
+        ts = (2 * PI / 20.0) * np.arange(1, 33)
+    elif case == "t_start":
+        # the first sample sits on t_start itself and must return the input
+        ts, t_start = np.array([-0.3, 0.0, 0.45, 1.7]), -0.3
+    elif case == "zero_hoppings":
+        # H = 0: R falls back to 1 and the series must sum to the identity
+        h = EffectiveHoppings(0.0, 0.0, alpha=0.0, M=1, sigma=0.0, rho=PI)
+        ts = [0.5, 3.0, 40.0]
+    elif case == "long_span":
+        # one span with R dt ~ 600, beyond a fixed number of extra terms
+        h = EffectiveHoppings(1.0, 1.0, alpha=0.2, M=1, sigma=0.4 * PI, rho=PI)
+        w = LatticeWindow.centered(40)
+        ts = [150.0]
+    field = _random_field(rng, w)
+    traj = evolve_effective(field, h, ts, t_start=t_start)
+    ref = _expm_reference(field, h, ts, t_start)
+    err = np.max(np.abs(traj.amplitudes.reshape(len(ts), -1) - ref))
+    assert err <= 1e-12
+    if case == "t_start":
+        np.testing.assert_array_equal(traj.amplitudes[0], field.amplitudes)
+
+
+def test_dt_max_does_not_steer_effective_runs(rng):
+    h = _fig_hoppings()
+    field = _random_field(rng, LatticeWindow.centered(6))
+    ts = np.linspace(0.0, 3.0, 7)
+    fine = evolve_effective(field, h, ts, IntegratorOptions(dt_max=1e-3))
+    default = evolve_effective(field, h, ts)
+    np.testing.assert_array_equal(fine.amplitudes, default.amplitudes)
 
 
 # -- gauge maps -------------------------------------------------------------------

@@ -73,3 +73,11 @@ def test_input_validation():
         physical_units(**{**REF, "d_m": 0.0})
     with pytest.raises(ValueError, match="Gamma"):
         physical_units(**{**REF, "Gamma": -0.1})
+
+
+@pytest.mark.parametrize("key", ["J_per_cm", "Gamma", "omega_over_J", "d_m",
+                                 "lambda_m", "n_s", "J_t_max"])
+def test_non_finite_inputs_rejected(key):
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            physical_units(**{**REF, key: bad})
