@@ -547,6 +547,17 @@ def test_non_finite_numbers_fail_at_load(tmp_path, capsys, line, bad):
     assert not list(tmp_path.glob("eff_*"))
 
 
+@pytest.mark.parametrize("bad", ["norm_drift_tol = -1",
+                                 "norm_drift_tol = 1e-8\nedge_mass_tol = -1"])
+def test_negative_tolerances_fail_validation(tmp_path, capsys, bad):
+    cfg = _write(tmp_path, "bad.ini",
+                 EFFECTIVE_INI.replace("norm_drift_tol = 1e-8", bad))
+    assert main(["validate", str(cfg)]) == 3
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path), "--quiet"]) == 3
+    assert "non-negative" in capsys.readouterr().err
+    assert not list(tmp_path.glob("eff_*"))
+
+
 def test_units_command_rejects_non_finite(capsys):
     argv = ["units", "--J", "1", "--Gamma", "0.717", "--omega-over-J", "8",
             "--d", "19e-6", "--wavelength", "633e-9", "--n-s", "1.45"]

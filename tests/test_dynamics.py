@@ -164,6 +164,48 @@ def test_step_does_not_grow_with_window_height(monkeypatch):
     assert steps[0] == steps[1]
 
 
+def _spy_step_caps(monkeypatch):
+    """Record the step cap of every RK4 span evolve_full runs."""
+    caps = []
+    rk4_span = dynamics._rk4_span
+
+    def spy(psi, t0, t1, h_cap, rhs):
+        caps.append(h_cap)
+        return rk4_span(psi, t0, t1, h_cap, rhs)
+
+    monkeypatch.setattr(dynamics, "_rk4_span", spy)
+    return caps
+
+
+def test_link_phase_bound_sets_the_fig1b_step(monkeypatch):
+    # fig1b drive: 0.1 / nu (5.1e-3) lies below the dt_max rule
+    # min(0.01/J, 0.02 T) = 0.01 and the norm-drift bound (1.1e-2), so the
+    # link-phase turn is the bound that binds
+    caps = _spy_step_caps(monkeypatch)
+    d = _sinusoidal(omega=8.0, Gamma=0.717, M=1)
+    c0 = gaussian_input(LatticeWindow.centered(3), 1.5)
+    evolve_full(c0, d, 1.0, 1.0, [0.05, 0.1])
+    nu = abs(d.F) + 2.0 * abs(d.A)
+    assert set(caps) == {0.1 / nu}
+
+
+@pytest.mark.parametrize("drive", [_sinusoidal(omega=8.0), _delta(omega=20.0)],
+                         ids=["sinusoidal", "delta_kicks"])
+def test_default_step_matches_a_fine_step(monkeypatch, drive):
+    # 21 x 21, J t <= 2, against the same integrator at an 8x finer step.
+    # Measured max errors 2.5e-9 (sinusoidal) and 8.7e-9 (kicks); a 0.2 rad
+    # link-phase turn gives 3.7e-8, with a drift warning, and 2.2e-8
+    caps = _spy_step_caps(monkeypatch)
+    c0 = gaussian_input(LatticeWindow.centered(10), 3.0, drive=drive, imprint=True)
+    ts = np.linspace(0.25, 2.0, 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        coarse = evolve_full(c0, drive, 1.0, 1.0, ts)
+        fine = evolve_full(c0, drive, 1.0, 1.0, ts,
+                           IntegratorOptions(dt_max=caps[0] / 8.0))
+    assert np.max(np.abs(coarse.amplitudes - fine.amplitudes)) < 2e-8
+
+
 # -- delta-kick engine -----------------------------------------------------------
 
 def test_kick_phase_pattern_no_hopping():
@@ -320,6 +362,19 @@ def test_sample_grid_validation():
         traj.amplitudes[0, 0, 0] = 0.0
 
 
+def test_integrator_options_reject_non_finite_and_negative():
+    for name, bad in (("dt_max", math.nan), ("dt_max", math.inf),
+                      ("norm_drift_tol", math.nan), ("norm_drift_tol", -1.0),
+                      ("norm_drift_tol", math.inf), ("edge_mass_tol", math.nan),
+                      ("edge_mass_tol", -1.0), ("edge_mass_tol", math.inf)):
+        with pytest.raises(ValueError, match=name):
+            IntegratorOptions(**{name: bad})
+    # zero tolerances stay legal; a zero edge_mass_tol flags any edge mass
+    opts = IntegratorOptions(norm_drift_tol=0.0, edge_mass_tol=0.0)
+    c0 = gaussian_input(LatticeWindow.centered(2), 1.0)
+    assert evolve_full(c0, _sinusoidal(), 1.0, 1.0, [0.1], opts).truncation_warning
+
+
 # -- input states -------------------------------------------------------------------
 
 def test_gaussian_input_norm_and_tilt():
@@ -346,6 +401,14 @@ def test_gaussian_input_imprint():
         gaussian_input(w, 2.0, imprint=True)
     with pytest.raises(ValueError, match="width"):
         gaussian_input(w, 0.0)
+
+
+def test_gaussian_input_rejects_non_finite():
+    w = LatticeWindow.centered(2)
+    for width, tilt in ((math.nan, 0.0), (math.inf, 0.0), (1.5, math.nan),
+                        (1.5, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            gaussian_input(w, width, tilt=tilt)
 
 
 # -- gradient suppression and drive-restored tunneling -------------------------------
