@@ -9,9 +9,9 @@ decimals, fractions ("3/4"), and pi expressions ("pi", "-pi/25", "2*pi/3").
 Errors split into two families: ConfigError for anything that cannot be
 read or tokenized (CLI exit 2), ValidationError for well-formed configs
 that violate the grammar or a physical-domain constraint (CLI exit 3).
-Validation is fail-fast: every object a scenario references is constructed
-once during loading, so a config that loads cleanly will not blow up
-mid-run on a bad parameter.
+Validation is fail-fast: every object a scenario references, the effective
+hoppings of its drives included, is constructed once during loading, so a
+config that loads cleanly will not blow up mid-run on a bad parameter.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from pathlib import Path
 
 from .core import DriveSpec, LatticeWindow, Waveform
 from .dynamics import IntegratorOptions
+from .hopping import hoppings_from_drive
 from .physical import physical_units
 from .spectrum import RationalFlux
 
@@ -404,13 +405,20 @@ def scenario_from_sections(sections: dict) -> Scenario:
 
     scenario = Scenario(**fields)
 
-    # construct every referenced drive once so bad parameters fail here
+    # construct every referenced drive, and the hoppings of every run that
+    # uses them, once so bad parameters fail here
     if scenario.drive_params is not None:
-        if kind == "compare":
-            for om in scenario.omegas:
-                scenario.drive_for(om)
-        else:
-            scenario.drive_for()
+        for om in scenario.omegas if kind == "compare" else (None,):
+            drive = scenario.drive_for(om)
+            if kind == "full_evolve":
+                continue
+            try:
+                h = hoppings_from_drive(drive, scenario.J_x, scenario.J_y, scenario.method)
+            except ValueError as exc:
+                raise ValidationError(str(exc)) from exc
+            if scenario.flux_spec.startswith("farey:") and abs(h.kappa_x) == 0.0:
+                raise ValidationError("butterfly energies are in units of kappa_x; "
+                                      "it must be nonzero")
     return scenario
 
 

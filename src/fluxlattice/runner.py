@@ -1,14 +1,19 @@
 """Scenario execution: run a validated config, write CSV data + JSON metadata.
 
-Every run produces <label>_*.csv data files plus <label>_meta.json.  The
-metadata embeds the fully resolved config under "config", so the JSON file
-itself is a valid input to ``run`` and reproduces the outputs exactly.
-Numbers are written with 12 significant digits.
+Each handler computes its results and returns them as named tables,
+{role: (header, table[, fmt])}; ``run_scenario`` alone writes them.  Role
+``r`` of a run labelled ``L`` goes to ``L_r.csv``: comma-separated, CRLF
+line ends, one header line (the final-field matrices ``L_field_final_re``
+and ``_im`` have none), floats as ``%.12g``, and integer and flag columns
+(band index, ``touching_next``, units ``M``) as ``%d``.  Every run also
+writes ``L_meta.json``.  It embeds the fully resolved config under
+"config", so the JSON file itself is a valid input to ``run`` and
+reproduces the outputs exactly; complex numbers appear in it as [re, im].
+``RunResult.metadata`` is that file, parsed.
 """
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import math
 import json
@@ -52,49 +57,23 @@ class RunResult:
     files: tuple[Path, ...]
 
 
-# -- formatting helpers -------------------------------------------------------
+# -- output ------------------------------------------------------------------
 
-def _fmt(x) -> str:
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return f"{float(x):.12g}"
-
-
-def _write_csv(path: Path, header, rows) -> Path:
+def _write_csv(path: Path, header, table, fmt="%.12g") -> None:
     with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        if header is not None:
-            writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(x) for x in row])
-    return path
+        np.savetxt(fh, table, fmt=fmt, delimiter=",", newline="\r\n",
+                   header=",".join(header or ()), comments="")
 
 
-def _cplx(z: complex) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+def _plain(obj):
+    """JSON form of the numpy and complex values ``json`` cannot encode."""
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
     if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj)
-    if isinstance(obj, (complex, np.complexfloating)):
-        return _cplx(obj)
-    return obj
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _hoppings(scenario: Scenario, drive, method: str | None = None):
@@ -124,9 +103,9 @@ def _start(s: Scenario, drive):
 
 
 # -- per-kind handlers --------------------------------------------------------
-# each returns (derived: dict, truncation: bool, files: list[Path])
+# each returns (derived: dict, truncation: bool, tables: {role: (header, table[, fmt])})
 
-def _run_hoppings(s: Scenario, out: Path):
+def _run_hoppings(s: Scenario):
     drive = s.drive
     methods = [s.method]
     if s.method == "auto":
@@ -139,8 +118,7 @@ def _run_hoppings(s: Scenario, out: Path):
         rows.append([method, h.kappa_x.real, h.kappa_x.imag,
                      h.kappa_y.real, h.kappa_y.imag,
                      abs(h.kappa_x), abs(h.kappa_y), h.alpha, h.flux_angle])
-        derived[method] = {"kappa_x": _cplx(h.kappa_x),
-                           "kappa_y": _cplx(h.kappa_y),
+        derived[method] = {"kappa_x": h.kappa_x, "kappa_y": h.kappa_y,
                            "kappa_x_abs": abs(h.kappa_x),
                            "kappa_y_abs": abs(h.kappa_y)}
     any_h = next(iter(routes.values()))
@@ -150,29 +128,21 @@ def _run_hoppings(s: Scenario, out: Path):
         a, b = routes["quadrature"], routes["closed"]
         derived["route_max_diff"] = max(abs(a.kappa_x - b.kappa_x),
                                         abs(a.kappa_y - b.kappa_y))
-    path = _write_csv(out / f"{s.label}_hoppings.csv",
-                      ["method", "kappa_x_re", "kappa_x_im", "kappa_y_re",
-                       "kappa_y_im", "kappa_x_abs", "kappa_y_abs",
-                       "alpha", "flux_angle"],
-                      rows)
-    return derived, False, [("hoppings", path)]
+    header = ["method", "kappa_x_re", "kappa_x_im", "kappa_y_re", "kappa_y_im",
+              "kappa_x_abs", "kappa_y_abs", "alpha", "flux_angle"]
+    table = np.array(rows, dtype=object)
+    return derived, False, {"hoppings": (header, table, ["%s"] + ["%.12g"] * 8)}
 
 
-def _run_spectrum(s: Scenario, out: Path):
+def _run_spectrum(s: Scenario):
     h = _hoppings(s, s.drive)
     if s.flux_spec.startswith("farey:"):
-        order = int(s.flux_spec.split(":", 1)[1])
-        if abs(h.kappa_x) == 0.0:
-            raise ValidationError("butterfly energies are in units of kappa_x; "
-                                  "it must be nonzero")
-        fluxes = farey_fluxes(order)
+        fluxes = farey_fluxes(int(s.flux_spec.split(":", 1)[1]))
         data = butterfly(abs(h.kappa_y) / abs(h.kappa_x), fluxes, s.k_grid)
-        path = _write_csv(out / f"{s.label}_butterfly.csv",
-                          ["alpha", "E_min", "E_max"], data)
-        derived = {"flux_count": len(fluxes), "band_rows": int(data.shape[0]),
+        derived = {"flux_count": len(fluxes), "band_rows": data.shape[0],
                    "ratio": abs(h.kappa_y) / abs(h.kappa_x),
                    "k_grid": s.k_grid}
-        return derived, False, [("butterfly", path)]
+        return derived, False, {"butterfly": (["alpha", "E_min", "E_max"], data)}
     try:
         if s.flux_spec == "auto":
             flux = RationalFlux.from_float(h.alpha)
@@ -184,95 +154,80 @@ def _run_spectrum(s: Scenario, out: Path):
     bands = harper_bands(h, flux, s.k_grid)
     rows = [[i, lo, hi, bands.touching[i] if i < len(bands.touching) else False]
             for i, (lo, hi) in enumerate(bands.intervals)]
-    path = _write_csv(out / f"{s.label}_bands.csv",
-                      ["band", "E_min", "E_max", "touching_next"], rows)
     derived = {"flux": f"{flux.p}/{flux.q}", "alpha": flux.alpha,
                "band_count": len(bands.intervals),
                "total_bandwidth": bands.total_bandwidth,
-               "touching": [bool(t) for t in bands.touching],
-               "kappa_x": _cplx(h.kappa_x), "kappa_y": _cplx(h.kappa_y),
-               "k_grid": s.k_grid}
-    return derived, False, [("bands", path)]
+               "touching": bands.touching,
+               "kappa_x": h.kappa_x, "kappa_y": h.kappa_y, "k_grid": s.k_grid}
+    return derived, False, {"bands": (["band", "E_min", "E_max", "touching_next"],
+                                      rows, ["%d", "%.12g", "%.12g", "%d"])}
 
 
-def _trajectory_products(s: Scenario, traj: Trajectory, out: Path,
-                         derived: dict, files: list):
+def _trajectory_products(s: Scenario, traj: Trajectory):
     """Profile/visibility/COM/final-field outputs shared by evolution runs."""
+    derived, tables = {}, {}
     if s.out_profile:
         record = vertical_profile(traj)
-        files.append(("profile", _write_csv(
-            out / f"{s.label}_profile.csv",
-            ["t"] + [f"n={v}" for v in record.n_values],
-            np.column_stack([record.times, record.profiles]))))
+        tables["profile"] = (["t"] + [f"n={v}" for v in record.n_values],
+                             np.column_stack([record.times, record.profiles]))
         try:
             record = with_visibility(record)
         except ValueError:
             record = None
         if record is not None:
-            files.append(("visibility", _write_csv(
-                out / f"{s.label}_visibility.csv", ["t", "visibility"],
-                np.column_stack([record.times, record.visibility]))))
-            derived["visibility_final"] = float(record.visibility[-1])
-            revival = None
-            if record.times.size >= 3:
-                try:
-                    revival = revival_period(record)
-                except ValueError:
-                    revival = None
-            derived["revival"] = revival
+            tables["visibility"] = (["t", "visibility"],
+                                    np.column_stack([record.times, record.visibility]))
+            derived["visibility_final"] = record.visibility[-1]
+            try:
+                derived["revival"] = revival_period(record)
+            except ValueError:
+                derived["revival"] = None
     if s.out_com:
         path = com_path(traj)
-        files.append(("com", _write_csv(
-            out / f"{s.label}_com.csv", ["t", "n_mean", "m_mean"],
-            np.column_stack([traj.times, path]))))
-        derived["com_final"] = [float(path[-1, 0]), float(path[-1, 1])]
+        tables["com"] = (["t", "n_mean", "m_mean"],
+                         np.column_stack([traj.times, path]))
+        derived["com_final"] = path[-1]
     if s.out_fields:
         final = traj.amplitudes[-1]
-        for part, data in (("re", final.real), ("im", final.imag)):
-            # matrix layout: one row per m (ascending), one column per n
-            files.append((f"field_final_{part}", _write_csv(
-                out / f"{s.label}_field_final_{part}.csv", None, data.T)))
-    derived["norm_initial"] = float(traj.norms[0])
-    derived["norm_final"] = float(traj.norms[-1])
-    derived["norm_drift"] = float(np.max(np.abs(traj.norms - traj.norms[0])))
-    derived["edge_mass_max"] = float(traj.edge_mass_max)
-    derived["truncation"] = bool(traj.truncation_warning)
-    derived["samples"] = int(traj.times.size)
+        # matrix layout: one row per m (ascending), one column per n
+        tables["field_final_re"] = (None, final.real.T)
+        tables["field_final_im"] = (None, final.imag.T)
+    derived["norm_initial"] = traj.norms[0]
+    derived["norm_final"] = traj.norms[-1]
+    derived["norm_drift"] = np.max(np.abs(traj.norms - traj.norms[0]))
+    derived["edge_mass_max"] = traj.edge_mass_max
+    derived["truncation"] = traj.truncation_warning
+    derived["samples"] = traj.times.size
+    return derived, tables
 
 
-def _run_full(s: Scenario, out: Path):
+def _run_full(s: Scenario):
     drive = s.drive
     times, c0, _ = _start(s, drive)
     traj = evolve_full(c0, drive, s.J_x, s.J_y, times, s.integrator, s.t_start)
-    derived: dict = {}
-    files: list = []
-    _trajectory_products(s, traj, out, derived, files)
-    return derived, bool(traj.truncation_warning), files
+    derived, tables = _trajectory_products(s, traj)
+    return derived, bool(traj.truncation_warning), tables
 
 
-def _run_effective(s: Scenario, out: Path):
+def _run_effective(s: Scenario):
     drive = s.drive
     h = _hoppings(s, drive)
     times, _, f0 = _start(s, drive)
     traj = evolve_effective(f0, h, times, s.integrator, s.t_start)
-    derived: dict = {"kappa_x": _cplx(h.kappa_x), "kappa_y": _cplx(h.kappa_y),
-                     "alpha": h.alpha}
-    files: list = []
-    _trajectory_products(s, traj, out, derived, files)
+    derived, tables = _trajectory_products(s, traj)
+    derived.update(kappa_x=h.kappa_x, kappa_y=h.kappa_y, alpha=h.alpha)
     rows = []
     for t, amps in zip(traj.times, traj.amplitudes):
         k = expectation_kinematics(WaveField(traj.window, amps), h)
         rows.append([t, k.state.n_mean, k.state.m_mean,
                      k.state.Pn_mean, k.state.Pm_mean,
                      k.sin_Pn, k.sin_Pm, k.v_n, k.v_m])
-    files.append(("kinematics", _write_csv(
-        out / f"{s.label}_kinematics.csv",
-        ["t", "n_mean", "m_mean", "Pn", "Pm", "sin_Pn", "sin_Pm", "v_n", "v_m"],
-        rows)))
-    return derived, bool(traj.truncation_warning), files
+    tables["kinematics"] = (["t", "n_mean", "m_mean", "Pn", "Pm",
+                             "sin_Pn", "sin_Pm", "v_n", "v_m"], rows)
+    return derived, bool(traj.truncation_warning), tables
 
 
-def _run_semiclassical(s: Scenario, out: Path):
+def _run_semiclassical(s: Scenario):
     drive = s.drive
     h = _hoppings(s, drive)
     # same prepared state as an effective run, reduced to its expectations
@@ -281,8 +236,6 @@ def _run_semiclassical(s: Scenario, out: Path):
     states = semiclassical_evolve(initial, h, h.flux_angle, times)
     rows = [[t, st.n_mean, st.m_mean, st.Pn_mean, st.Pm_mean]
             for t, st in zip(times, states)]
-    path = _write_csv(out / f"{s.label}_semiclassical.csv",
-                      ["t", "n_mean", "m_mean", "Pn", "Pm"], rows)
     ax = math.atan2(h.kappa_x.imag, h.kappa_x.real)
     ay = math.atan2(h.kappa_y.imag, h.kappa_y.real)
     energy = np.array([-2.0 * abs(h.kappa_x) * math.cos(st.Pn_mean + ax)
@@ -291,19 +244,19 @@ def _run_semiclassical(s: Scenario, out: Path):
     inv1 = np.array([st.Pn_mean + h.flux_angle * st.m_mean for st in states])
     inv2 = np.array([st.Pm_mean - h.flux_angle * st.n_mean for st in states])
     derived = {
-        "kappa_x": _cplx(h.kappa_x), "kappa_y": _cplx(h.kappa_y),
-        "alpha": h.alpha,
+        "kappa_x": h.kappa_x, "kappa_y": h.kappa_y, "alpha": h.alpha,
         "initial": dataclasses.asdict(initial),
         "final": dataclasses.asdict(states[-1]),
-        "energy_drift": float(np.max(np.abs(energy - energy[0]))),
-        "invariant_drift": [float(np.max(np.abs(inv1 - inv1[0]))),
-                            float(np.max(np.abs(inv2 - inv2[0])))],
-        "samples": int(times.size),
+        "energy_drift": np.max(np.abs(energy - energy[0])),
+        "invariant_drift": [np.max(np.abs(inv1 - inv1[0])),
+                            np.max(np.abs(inv2 - inv2[0]))],
+        "samples": times.size,
     }
-    return derived, False, [("semiclassical", path)]
+    return derived, False, {"semiclassical": (["t", "n_mean", "m_mean", "Pn", "Pm"],
+                                              rows)}
 
 
-def _run_compare(s: Scenario, out: Path):
+def _run_compare(s: Scenario):
     rows, peaks, finals = [], [], []
     truncation = False
     for omega in s.omegas:
@@ -318,26 +271,24 @@ def _run_compare(s: Scenario, out: Path):
         rows.extend([omega, t, ma, inf] for t, ma, inf in
                     zip(dev.times, dev.max_abs, dev.infidelity))
         peaks.append(dev.peak)
-        finals.append(float(dev.max_abs[-1]))
-    path = _write_csv(out / f"{s.label}_deviation.csv",
-                      ["omega", "t", "max_abs", "infidelity"], rows)
+        finals.append(dev.max_abs[-1])
     ratios = [peaks[i + 1] / peaks[i] if peaks[i] > 0.0 else None
               for i in range(len(peaks) - 1)]
-    derived = {"omegas": list(s.omegas), "peak_deviation": peaks,
+    derived = {"omegas": s.omegas, "peak_deviation": peaks,
                "final_deviation": finals, "peak_ratios": ratios,
                "truncation": truncation}
-    return derived, truncation, [("deviation", path)]
+    return derived, truncation, {"deviation": (["omega", "t", "max_abs", "infidelity"],
+                                               rows)}
 
 
-def _run_units(s: Scenario, out: Path):
+def _run_units(s: Scenario):
     try:
         params = physical_units(**s.units_params)
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
     record = dataclasses.asdict(params)
-    path = _write_csv(out / f"{s.label}_units.csv",
-                      list(record), [list(record.values())])
-    return dict(record), False, [("units", path)]
+    fmt = ["%d" if isinstance(v, int) else "%.12g" for v in record.values()]
+    return record, False, {"units": (list(record), [list(record.values())], fmt)}
 
 
 _HANDLERS = {
@@ -364,34 +315,36 @@ def run_scenario(source, out_dir=".", strict: bool = False,
     out.mkdir(parents=True, exist_ok=True)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        derived, truncation, named_files = _HANDLERS[scenario.kind](scenario, out)
+        derived, truncation, tables = _HANDLERS[scenario.kind](scenario)
     warning_texts = [str(w.message) for w in caught]
     exit_code = 4 if (strict and truncation) else 0
-    metadata = {
+    names = {role: f"{scenario.label}_{role}.csv" for role in tables}
+    for role, table in tables.items():
+        _write_csv(out / names[role], *table)
+    text = json.dumps({
         "version": __version__,
         "kind": scenario.kind,
         "label": scenario.label,
         "config": scenario.resolved_config(),
-        "derived": _jsonable(derived),
+        "derived": derived,
         "warnings": warning_texts,
-        "outputs": {role: path.name for role, path in named_files},
+        "outputs": names,
         "exit_code": exit_code,
-    }
+    }, indent=2, sort_keys=True, default=_plain)
     meta_path = out / f"{scenario.label}_meta.json"
-    meta_path.write_text(json.dumps(metadata, indent=2, sort_keys=True) + "\n",
-                         encoding="utf-8")
-    files = tuple(path for _, path in named_files) + (meta_path,)
+    meta_path.write_text(text + "\n", encoding="utf-8")
+    files = tuple(out / name for name in names.values()) + (meta_path,)
     if not quiet:
         print(f"{scenario.label}: {scenario.kind} -> "
               f"{len(files)} file(s) in {out}")
         for line in _summary_lines(scenario.kind, derived):
             print(f"  {line}")
-        for text in warning_texts:
-            print(f"  warning: {text}")
+        for warning in warning_texts:
+            print(f"  warning: {warning}")
         if exit_code == 4:
             print("  strict: truncation warning treated as fatal")
     return RunResult(scenario=scenario, exit_code=exit_code,
-                     metadata=metadata, files=files)
+                     metadata=json.loads(text), files=files)
 
 
 def _summary_lines(kind: str, derived: dict) -> list[str]:

@@ -1,11 +1,14 @@
 """Config grammar, scenario runner outputs, CLI exit codes."""
 
 import csv
+import dataclasses
 import json
 import math
+from pathlib import Path
 
 import pytest
 
+from fluxlattice import run_scenario
 from fluxlattice.cli import main
 from fluxlattice.config import (
     ConfigError,
@@ -18,8 +21,12 @@ from fluxlattice.config import (
     parse_reals,
     scenario_from_sections,
 )
+from fluxlattice.hopping import hoppings_from_drive
+from fluxlattice.physical import PhysicalParams
+from fluxlattice.spectrum import RationalFlux, harper_bands
 
 PI = math.pi
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 HOPPINGS_INI = """\
 [scenario]
@@ -566,6 +573,95 @@ def test_units_command_rejects_non_finite(capsys):
         bad[bad.index(flag) + 1] = value
         assert main(bad) == 3
         assert "finite" in capsys.readouterr().err
+
+
+def test_output_format_is_pinned(tmp_path):
+    # CRLF line ends, %.12g floats, integers and 0/1 flags without ".0",
+    # one header line except on the field matrices, and RunResult.metadata
+    # equal to the meta.json written beside the tables
+    def g(x):
+        return "%.12g" % x
+
+    spectrum = (HOPPINGS_INI.replace("kind = hoppings", "kind = spectrum")
+                .replace("label = hop", "label = sp")
+                + "\n[spectrum]\nflux = 1/2\nk_grid = 64\n")
+    fields = EFFECTIVE_INI + "\n[output]\nfields = true\n"
+    meta = {}
+    for label, ini in (("sp", spectrum), ("hop", HOPPINGS_INI),
+                       ("units", (CONFIGS / "units.ini").read_text()),
+                       ("eff", fields)):
+        result = run_scenario(_write(tmp_path, f"{label}.ini", ini), tmp_path,
+                              quiet=True)
+        meta[label] = json.loads((tmp_path / f"{label}_meta.json").read_text())
+        assert result.metadata == meta[label]
+
+    drive = scenario_from_sections(_sections()).drive
+    bands = harper_bands(hoppings_from_drive(drive, 1.0, 1.0),
+                         RationalFlux(1, 2), 64)
+    (lo0, hi0), (lo1, hi1) = bands.intervals
+    assert (tmp_path / "sp_bands.csv").read_bytes() == (
+        "band,E_min,E_max,touching_next\r\n"
+        f"0,{g(lo0)},{g(hi0)},1\r\n1,{g(lo1)},{g(hi1)},0\r\n").encode()
+
+    d = meta["hop"]["derived"]
+    rows = "".join(
+        f"{m},{g(d[m]['kappa_x'][0])},{g(d[m]['kappa_x'][1])},"
+        f"{g(d[m]['kappa_y'][0])},{g(d[m]['kappa_y'][1])},"
+        f"{g(d[m]['kappa_x_abs'])},{g(d[m]['kappa_y_abs'])},"
+        f"{g(d['alpha'])},{g(d['flux_angle'])}\r\n"
+        for m in ("quadrature", "closed"))
+    assert (tmp_path / "hop_hoppings.csv").read_bytes() == (
+        "method,kappa_x_re,kappa_x_im,kappa_y_re,kappa_y_im,kappa_x_abs,"
+        "kappa_y_abs,alpha,flux_angle\r\n" + rows).encode()
+
+    u = meta["units"]["derived"]
+    keys = [f.name for f in dataclasses.fields(PhysicalParams)]
+    assert u["M"] == 1
+    assert (tmp_path / "units_units.csv").read_bytes() == (
+        ",".join(keys) + "\r\n"
+        + ",".join(str(u[k]) if k == "M" else g(u[k]) for k in keys)
+        + "\r\n").encode()
+
+    text = (tmp_path / "eff_field_final_re.csv").read_bytes().decode()
+    lines = text.split("\r\n")
+    assert lines.pop() == "" and "\n" not in "".join(lines)
+    assert len(lines) == 5
+    for line in lines:  # no header: every line is five numbers
+        values = line.split(",")
+        assert len(values) == 5
+        assert all(v == g(float(v)) for v in values)
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in CONFIGS.glob("*.ini")
+                                        if p.name != "sweep_gamma.ini"))
+def test_shipped_config_validates(path):
+    assert main(["validate", str(CONFIGS / path)]) == 0
+
+
+def test_shipped_sweep_validates(tmp_path):
+    paths = expand_sweep(CONFIGS / "hoppings.ini", CONFIGS / "sweep_gamma.ini",
+                         tmp_path)
+    assert len(paths) == 4
+    for path in paths:
+        assert main(["validate", str(path)]) == 0
+
+
+@pytest.mark.parametrize("ini, message", [
+    (EFFECTIVE_INI.replace("sinusoidal", "delta_kicks").replace("rho = pi", "rho = 0"),
+     "degenerate drive"),
+    (HOPPINGS_INI.replace("sinusoidal", "delta_kicks").replace("M = 1", "M = 0"),
+     "degenerate drive"),
+    (HOPPINGS_INI.replace("kind = hoppings", "kind = spectrum")
+     .replace("J_x = 1", "J_x = 0") + "\n[spectrum]\nflux = farey:5\n",
+     "units of kappa_x"),
+], ids=["delta-rho-0", "delta-M-0", "farey-J_x-0"])
+def test_validate_derives_hoppings(tmp_path, capsys, ini, message):
+    # validate derives the hoppings, so it rejects these configs as run does
+    cfg = _write(tmp_path, "bad.ini", ini)
+    assert main(["validate", str(cfg)]) == 3
+    assert message in capsys.readouterr().err
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path), "--quiet"]) == 3
+    assert message in capsys.readouterr().err
 
 
 def test_sweep_expands_grid(tmp_path, capsys):
