@@ -9,14 +9,16 @@ decimals, fractions ("3/4"), and pi expressions ("pi", "-pi/25", "2*pi/3").
 Errors split into two families: ConfigError for anything that cannot be
 read or tokenized (CLI exit 2), ValidationError for well-formed configs
 that violate the grammar or a physical-domain constraint (CLI exit 3).
-Validation is fail-fast: every object a scenario references, the effective
-hoppings of its drives included, is constructed once during loading, so a
-config that loads cleanly will not blow up mid-run on a bad parameter.
+Validation is fail-fast: every object a run uses, the effective hoppings
+of its drives included, is built once during loading and kept on the
+Scenario, so a config that loads cleanly will not blow up mid-run on a bad
+parameter, and the runner builds none of them again.
 """
 
 from __future__ import annotations
 
 import configparser
+import copy
 import itertools
 import json
 import math
@@ -25,9 +27,9 @@ from pathlib import Path
 
 from .core import DriveSpec, LatticeWindow, Waveform
 from .dynamics import IntegratorOptions
-from .hopping import hoppings_from_drive
-from .physical import physical_units
-from .spectrum import RationalFlux
+from .hopping import EffectiveHoppings, hoppings_from_drive
+from .physical import PhysicalParams, physical_units
+from .spectrum import RationalFlux, farey_fluxes
 
 __all__ = [
     "ConfigError",
@@ -56,6 +58,8 @@ _WAVEFORM_FACTORIES = {
     "delta_kicks": Waveform.delta_kicks,
 }
 
+_UNITS_KEYS = ("J_per_cm", "Gamma", "omega_over_J", "M", "d_m", "lambda_m", "n_s")
+
 _SECTION_KEYS = {
     "scenario": {"kind", "label"},
     "drive": {"waveform", "omega", "Gamma", "M", "sigma", "rho", "beta0"},
@@ -67,8 +71,7 @@ _SECTION_KEYS = {
     "output": {"fields", "profile", "com"},
     "spectrum": {"flux", "k_grid"},
     "compare": {"omegas"},
-    "units": {"J_per_cm", "Gamma", "omega_over_J", "M", "d_m", "lambda_m",
-              "n_s", "J_t_max"},
+    "units": {*_UNITS_KEYS, "J_t_max"},
 }
 
 _EVOLVE_SECTIONS = ({"scenario", "drive", "coupling", "lattice", "input", "time"},
@@ -172,11 +175,19 @@ def parse_flux_spec(value) -> str:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Fully resolved, validated run description."""
+    """Fully resolved, validated run description.
+
+    Built by ``scenario_from_sections`` (or ``load_config``) in one pass:
+    ``config`` is the canonical form of the input with every default filled
+    in, and the objects a run uses are built from it once, at load:
+    ``drives`` (one per omega for compare, else one), ``hoppings`` aligned
+    with ``drives`` (none for full_evolve), the resolved spectrum ``fluxes``
+    and the ``units`` record.
+    """
 
     kind: str
     label: str
-    drive_params: dict | None = None
+    config: dict
     J_x: float | None = None
     J_y: float | None = None
     method: str = "auto"
@@ -195,80 +206,64 @@ class Scenario:
     flux_spec: str = "auto"
     k_grid: int = 64
     omegas: tuple[float, ...] = ()
-    units_params: dict | None = None
+    drives: tuple[DriveSpec, ...] = ()
+    hoppings: tuple[EffectiveHoppings, ...] = ()
+    fluxes: tuple[RationalFlux, ...] = ()
+    units: PhysicalParams | None = None
 
     def drive_for(self, omega: float | None = None) -> DriveSpec:
         """Resonant drive for this scenario (omega overridable for sweeps)."""
-        p = self.drive_params
-        if p is None:
+        if not self.drives:
             raise ValidationError(f"scenario kind {self.kind!r} carries no drive")
-        om = omega if omega is not None else p.get("omega")
-        if om is None:
-            raise ValidationError("no omega given for drive construction")
-        try:
-            return DriveSpec.resonant(
-                omega=om, Gamma=p["Gamma"], M=p["M"], sigma=p["sigma"],
-                rho=p["rho"], waveform=_WAVEFORM_FACTORIES[p["waveform"]](),
-                beta0=p["beta0"])
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from exc
+        return self.drives[0] if omega is None else _drive(self.config["drive"], omega)
 
     @property
     def drive(self) -> DriveSpec:
+        """The drive; for compare, the one at the first omega."""
         return self.drive_for()
 
     def resolved_config(self) -> dict:
         """Canonical nested mapping; re-ingesting it reproduces this scenario."""
-        cfg: dict = {"scenario": {"kind": self.kind, "label": self.label}}
-        if self.drive_params is not None:
-            drive = {k: v for k, v in self.drive_params.items() if v is not None}
-            cfg["drive"] = drive
-            cfg["coupling"] = {"J_x": self.J_x, "J_y": self.J_y,
-                               "method": self.method}
-        if self.window is not None:
-            cfg["lattice"] = {"n_half": self.window.n_max,
-                              "m_half": self.window.m_max}
-            cfg["input"] = {"width": self.width, "tilt": self.tilt,
-                            "imprint": self.imprint}
-            time: dict = {"t_max": self.t_max, "stroboscopic": self.stroboscopic,
-                          "t_start": self.t_start}
-            if self.dt_sample is not None:
-                time["dt_sample"] = self.dt_sample
-            cfg["time"] = time
-        if self.integrator is not None:
-            integ = {"norm_drift_tol": self.integrator.norm_drift_tol,
-                     "edge_mass_tol": self.integrator.edge_mass_tol}
-            if self.integrator.dt_max is not None:
-                integ["dt_max"] = self.integrator.dt_max
-            cfg["integrator"] = integ
-        if self.kind in ("full_evolve", "effective_evolve"):
-            cfg["output"] = {"fields": self.out_fields,
-                             "profile": self.out_profile, "com": self.out_com}
-        if self.kind == "spectrum":
-            cfg["spectrum"] = {"flux": self.flux_spec, "k_grid": self.k_grid}
-        if self.kind == "compare":
-            cfg["compare"] = {"omegas": list(self.omegas)}
-        if self.kind == "units":
-            cfg["units"] = dict(self.units_params)
-        return cfg
+        return copy.deepcopy(self.config)
 
 
-def _require(sections: dict, section: str, key: str):
-    try:
-        return sections[section][key]
-    except KeyError:
-        raise ValidationError(f"missing required key [{section}] {key}") from None
+def _drive(params: dict, omega: float) -> DriveSpec:
+    """Resonant drive from a recorded [drive] section, at ``omega``."""
+    return DriveSpec.resonant(
+        omega=omega, Gamma=params["Gamma"], M=params["M"], sigma=params["sigma"],
+        rho=params["rho"], waveform=_WAVEFORM_FACTORIES[params["waveform"]](),
+        beta0=params["beta0"])
 
 
-def _get(sections: dict, section: str, key: str, default=None):
-    return sections.get(section, {}).get(key, default)
+def _text(value) -> str:
+    return str(value).strip()
+
+
+_REQUIRED = object()
 
 
 def scenario_from_sections(sections: dict) -> Scenario:
     """Validate a nested {section: {key: value}} mapping into a Scenario."""
     if "scenario" not in sections:
         raise ValidationError("missing [scenario] section")
-    kind = str(_require(sections, "scenario", "kind")).strip()
+    config: dict = {}
+
+    def read(section: str, key: str, parse, default=_REQUIRED):
+        """Parse [section] key, or take its default; record the value in config.
+
+        A key whose default is None is optional: absent, it reads None and
+        is not recorded.
+        """
+        value = sections.get(section, {}).get(key, default)
+        if value is _REQUIRED:
+            raise ValidationError(f"missing required key [{section}] {key}")
+        if value is None and default is None:
+            return None
+        value = parse(value)
+        config.setdefault(section, {})[key] = value
+        return value
+
+    kind = read("scenario", "kind", _text)
     if kind not in KINDS:
         raise ValidationError(f"unknown scenario kind {kind!r}; expected one of {KINDS}")
     required, extra = _KIND_SECTIONS[kind]
@@ -284,142 +279,125 @@ def scenario_from_sections(sections: dict) -> Scenario:
         if name not in sections:
             raise ValidationError(f"missing section [{name}] for kind {kind!r}")
 
-    label = str(_get(sections, "scenario", "label", kind)).strip()
+    label = read("scenario", "label", _text, kind)
     if not label or any(ch in label for ch in "/\\ \t"):
         raise ValidationError(f"label {label!r} must be a simple file stem")
-    fields: dict = {"kind": kind, "label": label}
+    fields: dict = {"kind": kind, "label": label, "config": config}
 
     if "drive" in sections:
-        waveform = str(_require(sections, "drive", "waveform")).strip()
+        waveform = read("drive", "waveform", _text)
         if waveform not in _WAVEFORM_FACTORIES:
             raise ValidationError(f"unknown waveform {waveform!r}")
-        omega = None
-        if kind == "compare":
-            if "omega" in sections["drive"]:
-                raise ValidationError(
-                    "compare scenarios take omega from [compare] omegas")
-        else:
-            omega = parse_real(_require(sections, "drive", "omega"))
-        fields["drive_params"] = {
-            "waveform": waveform,
-            "omega": omega,
-            "Gamma": parse_real(_require(sections, "drive", "Gamma")),
-            "M": parse_int(_require(sections, "drive", "M")),
-            "sigma": parse_real(_require(sections, "drive", "sigma")),
-            "rho": parse_real(_require(sections, "drive", "rho")),
-            "beta0": parse_real(_get(sections, "drive", "beta0", 0.0)),
-        }
-        fields["J_x"] = parse_real(_require(sections, "coupling", "J_x"))
-        fields["J_y"] = parse_real(_require(sections, "coupling", "J_y"))
-        method = str(_get(sections, "coupling", "method", "auto")).strip()
-        if method not in ("auto", "closed", "quadrature"):
-            raise ValidationError(f"unknown hopping method {method!r}")
-        fields["method"] = method
+        if kind != "compare":
+            read("drive", "omega", parse_real)
+        elif "omega" in sections["drive"]:
+            raise ValidationError("compare scenarios take omega from [compare] omegas")
+        read("drive", "Gamma", parse_real)
+        read("drive", "M", parse_int)
+        read("drive", "sigma", parse_real)
+        read("drive", "rho", parse_real)
+        read("drive", "beta0", parse_real, 0.0)
+        fields["J_x"] = read("coupling", "J_x", parse_real)
+        fields["J_y"] = read("coupling", "J_y", parse_real)
+        fields["method"] = read("coupling", "method", _text, "auto")
+        if fields["method"] not in ("auto", "closed", "quadrature"):
+            raise ValidationError(f"unknown hopping method {fields['method']!r}")
 
     if "lattice" in sections:
-        n_half = parse_int(_require(sections, "lattice", "n_half"))
-        m_half = parse_int(_get(sections, "lattice", "m_half", n_half))
+        n_half = read("lattice", "n_half", parse_int)
+        m_half = read("lattice", "m_half", parse_int, n_half)
         if n_half < 0 or m_half < 0:
             raise ValidationError("lattice half-sizes must be >= 0")
         fields["window"] = LatticeWindow.centered(n_half, m_half)
-        width = parse_real(_require(sections, "input", "width"))
-        if width <= 0.0:
+        fields["width"] = read("input", "width", parse_real)
+        if fields["width"] <= 0.0:
             raise ValidationError("input width must be positive")
-        fields["width"] = width
-        fields["tilt"] = parse_real(_get(sections, "input", "tilt", 0.0))
-        fields["imprint"] = parse_bool(_get(sections, "input", "imprint", False))
-        t_max = parse_real(_require(sections, "time", "t_max"))
+        fields["tilt"] = read("input", "tilt", parse_real, 0.0)
+        fields["imprint"] = read("input", "imprint", parse_bool, False)
+        t_max = fields["t_max"] = read("time", "t_max", parse_real)
         if t_max <= 0.0:
             raise ValidationError("t_max must be positive")
-        fields["t_max"] = t_max
-        strobo = parse_bool(_get(sections, "time", "stroboscopic", False))
-        dt_raw = _get(sections, "time", "dt_sample")
+        strobo = read("time", "stroboscopic", parse_bool, False)
+        has_dt = sections["time"].get("dt_sample") is not None
         if kind == "compare":
             # deviation sampling only makes sense at whole drive periods
-            if dt_raw is not None:
+            if has_dt:
                 raise ValidationError(
                     "compare scenarios sample stroboscopically; drop dt_sample")
-            strobo = True
-        else:
-            if strobo and dt_raw is not None:
-                raise ValidationError("give either dt_sample or stroboscopic, not both")
-            if not strobo and dt_raw is None:
-                raise ValidationError("sampling needs dt_sample or stroboscopic = true")
-            if dt_raw is not None:
-                dt = parse_real(dt_raw)
-                if not 0.0 < dt <= t_max:
-                    raise ValidationError("dt_sample must lie in (0, t_max]")
-                fields["dt_sample"] = dt
+            strobo = config["time"]["stroboscopic"] = True
+        elif strobo and has_dt:
+            raise ValidationError("give either dt_sample or stroboscopic, not both")
+        elif not strobo and not has_dt:
+            raise ValidationError("sampling needs dt_sample or stroboscopic = true")
         fields["stroboscopic"] = strobo
-        t_start = parse_real(_get(sections, "time", "t_start", 0.0))
+        dt = fields["dt_sample"] = read("time", "dt_sample", parse_real, None)
+        if dt is not None and not 0.0 < dt <= t_max:
+            raise ValidationError("dt_sample must lie in (0, t_max]")
+        t_start = fields["t_start"] = read("time", "t_start", parse_real, 0.0)
         if t_start > 0.0:
             raise ValidationError("t_start must be <= 0 (samples begin at 0)")
         if kind == "semiclassical" and t_start != 0.0:
             raise ValidationError("semiclassical runs start at t = 0")
-        fields["t_start"] = t_start
 
     if "integrator" in sections:
-        try:
-            fields["integrator"] = IntegratorOptions(
-                dt_max=(parse_real(_get(sections, "integrator", "dt_max"))
-                        if _get(sections, "integrator", "dt_max") is not None else None),
-                norm_drift_tol=parse_real(_get(sections, "integrator",
-                                               "norm_drift_tol", 1e-8)),
-                edge_mass_tol=parse_real(_get(sections, "integrator",
-                                              "edge_mass_tol", 1e-6)),
-            )
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from exc
+        read("integrator", "dt_max", parse_real, None)
+        read("integrator", "norm_drift_tol", parse_real, 1e-8)
+        read("integrator", "edge_mass_tol", parse_real, 1e-6)
 
-    if "output" in sections:
-        fields["out_fields"] = parse_bool(_get(sections, "output", "fields", False))
-        fields["out_profile"] = parse_bool(_get(sections, "output", "profile", True))
-        fields["out_com"] = parse_bool(_get(sections, "output", "com", True))
+    if "output" in allowed:
+        fields["out_fields"] = read("output", "fields", parse_bool, False)
+        fields["out_profile"] = read("output", "profile", parse_bool, True)
+        fields["out_com"] = read("output", "com", parse_bool, True)
 
     if kind == "spectrum":
-        fields["flux_spec"] = parse_flux_spec(_get(sections, "spectrum", "flux", "auto"))
-        k_grid = parse_int(_get(sections, "spectrum", "k_grid", 64))
-        if k_grid < 32:
+        fields["flux_spec"] = read("spectrum", "flux", parse_flux_spec, "auto")
+        fields["k_grid"] = read("spectrum", "k_grid", parse_int, 64)
+        if fields["k_grid"] < 32:
             raise ValidationError("k_grid must be >= 32")
-        fields["k_grid"] = k_grid
 
     if kind == "compare":
-        omegas = parse_reals(_require(sections, "compare", "omegas"))
+        omegas = read("compare", "omegas", lambda v: list(parse_reals(v)))
         if not omegas or any(w <= 0.0 for w in omegas):
             raise ValidationError("omegas must be a nonempty list of positive rates")
-        fields["omegas"] = omegas
+        fields["omegas"] = tuple(omegas)
 
     if kind == "units":
-        u = sections["units"]
-        params = {k: (parse_int(v) if k == "M" else parse_real(v))
-                  for k, v in u.items()}
-        params.setdefault("J_t_max", 10.0)
-        missing = (_SECTION_KEYS["units"] - {"J_t_max"}) - set(params)
-        if missing:
-            raise ValidationError(f"missing [units] key(s) {sorted(missing)}")
-        try:
-            physical_units(**params)  # fail fast on domain violations
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from exc
-        fields["units_params"] = params
+        for key in _UNITS_KEYS:
+            read("units", key, parse_int if key == "M" else parse_real)
+        read("units", "J_t_max", parse_real, 10.0)
 
-    scenario = Scenario(**fields)
+    # build every object a run uses, once, so bad parameters fail here
+    try:
+        if "integrator" in config:
+            fields["integrator"] = IntegratorOptions(**config["integrator"])
+        if "drive" in config:
+            drives = tuple(_drive(config["drive"], om) for om in
+                           fields.get("omegas") or (config["drive"]["omega"],))
+            fields["drives"] = drives
+            if kind != "full_evolve":
+                fields["hoppings"] = tuple(
+                    hoppings_from_drive(d, fields["J_x"], fields["J_y"], fields["method"])
+                    for d in drives)
+        if kind == "spectrum":
+            fields["fluxes"] = _fluxes(fields["flux_spec"], fields["hoppings"][0])
+        if kind == "units":
+            fields["units"] = physical_units(**config["units"])
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from exc
+    return Scenario(**fields)
 
-    # construct every referenced drive, and the hoppings of every run that
-    # uses them, once so bad parameters fail here
-    if scenario.drive_params is not None:
-        for om in scenario.omegas if kind == "compare" else (None,):
-            drive = scenario.drive_for(om)
-            if kind == "full_evolve":
-                continue
-            try:
-                h = hoppings_from_drive(drive, scenario.J_x, scenario.J_y, scenario.method)
-            except ValueError as exc:
-                raise ValidationError(str(exc)) from exc
-            if scenario.flux_spec.startswith("farey:") and abs(h.kappa_x) == 0.0:
-                raise ValidationError("butterfly energies are in units of kappa_x; "
-                                      "it must be nonzero")
-    return scenario
+
+def _fluxes(spec: str, h: EffectiveHoppings) -> tuple[RationalFlux, ...]:
+    """The fluxes a spectrum spec names: 'farey:N', 'auto' (from alpha) or 'p/q'."""
+    if spec.startswith("farey:"):
+        if abs(h.kappa_x) == 0.0:
+            raise ValidationError("butterfly energies are in units of kappa_x; "
+                                  "it must be nonzero")
+        return tuple(farey_fluxes(int(spec[len("farey:"):])))
+    if spec == "auto":
+        return (RationalFlux.from_float(h.alpha),)
+    p, q = spec.split("/")
+    return (RationalFlux(int(p), int(q)),)
 
 
 # -- file I/O ---------------------------------------------------------------

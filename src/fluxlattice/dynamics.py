@@ -111,11 +111,14 @@ class Trajectory:
         if amps.shape != (t.size,) + self.window.shape:
             raise ValueError(f"amplitudes shape {amps.shape} != "
                              f"{(t.size,) + self.window.shape} (samples, window)")
-        t.setflags(write=False)
-        amps.setflags(write=False)
+        norms = np.array(self.norms, dtype=float)
+        if norms.shape != t.shape:
+            raise ValueError(f"norms shape {norms.shape} != {t.shape} (samples)")
+        for arr in (t, amps, norms):
+            arr.setflags(write=False)
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "norms", np.asarray(self.norms, dtype=float))
+        object.__setattr__(self, "norms", norms)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .config import Scenario, ValidationError, load_config
+from .config import Scenario, load_config
 from .core import WaveField
 from .dynamics import Trajectory, evolve_full, gaussian_input
 from .effective import (
@@ -41,8 +41,7 @@ from .observables import (
     vertical_profile,
     with_visibility,
 )
-from .physical import physical_units
-from .spectrum import RationalFlux, butterfly, farey_fluxes, harper_bands
+from .spectrum import butterfly, harper_bands
 
 __all__ = ["RunResult", "run_scenario"]
 
@@ -76,15 +75,6 @@ def _plain(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _hoppings(scenario: Scenario, drive, method: str | None = None):
-    """Effective hoppings by ``method`` (the scenario's by default)."""
-    try:
-        return hoppings_from_drive(drive, scenario.J_x, scenario.J_y,
-                                   method=method or scenario.method)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
-
-
 def _start(s: Scenario, drive):
     """Sample times and the input at t_start, in the driven and effective frames.
 
@@ -106,7 +96,6 @@ def _start(s: Scenario, drive):
 # each returns (derived: dict, truncation: bool, tables: {role: (header, table[, fmt])})
 
 def _run_hoppings(s: Scenario):
-    drive = s.drive
     methods = [s.method]
     if s.method == "auto":
         # surface both routes so their agreement is visible in the output
@@ -114,7 +103,7 @@ def _run_hoppings(s: Scenario):
     rows, derived = [], {}
     routes = {}
     for method in methods:
-        h = routes[method] = _hoppings(s, drive, method)
+        h = routes[method] = hoppings_from_drive(s.drive, s.J_x, s.J_y, method)
         rows.append([method, h.kappa_x.real, h.kappa_x.imag,
                      h.kappa_y.real, h.kappa_y.imag,
                      abs(h.kappa_x), abs(h.kappa_y), h.alpha, h.flux_angle])
@@ -135,22 +124,14 @@ def _run_hoppings(s: Scenario):
 
 
 def _run_spectrum(s: Scenario):
-    h = _hoppings(s, s.drive)
+    h = s.hoppings[0]
     if s.flux_spec.startswith("farey:"):
-        fluxes = farey_fluxes(int(s.flux_spec.split(":", 1)[1]))
-        data = butterfly(abs(h.kappa_y) / abs(h.kappa_x), fluxes, s.k_grid)
-        derived = {"flux_count": len(fluxes), "band_rows": data.shape[0],
+        data = butterfly(abs(h.kappa_y) / abs(h.kappa_x), s.fluxes, s.k_grid)
+        derived = {"flux_count": len(s.fluxes), "band_rows": data.shape[0],
                    "ratio": abs(h.kappa_y) / abs(h.kappa_x),
                    "k_grid": s.k_grid}
         return derived, False, {"butterfly": (["alpha", "E_min", "E_max"], data)}
-    try:
-        if s.flux_spec == "auto":
-            flux = RationalFlux.from_float(h.alpha)
-        else:
-            p, q = s.flux_spec.split("/")
-            flux = RationalFlux(int(p), int(q))
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    flux, = s.fluxes
     bands = harper_bands(h, flux, s.k_grid)
     rows = [[i, lo, hi, bands.touching[i] if i < len(bands.touching) else False]
             for i, (lo, hi) in enumerate(bands.intervals)]
@@ -210,9 +191,8 @@ def _run_full(s: Scenario):
 
 
 def _run_effective(s: Scenario):
-    drive = s.drive
-    h = _hoppings(s, drive)
-    times, _, f0 = _start(s, drive)
+    h = s.hoppings[0]
+    times, _, f0 = _start(s, s.drive)
     traj = evolve_effective(f0, h, times, s.integrator, s.t_start)
     derived, tables = _trajectory_products(s, traj)
     derived.update(kappa_x=h.kappa_x, kappa_y=h.kappa_y, alpha=h.alpha)
@@ -228,10 +208,9 @@ def _run_effective(s: Scenario):
 
 
 def _run_semiclassical(s: Scenario):
-    drive = s.drive
-    h = _hoppings(s, drive)
+    h = s.hoppings[0]
     # same prepared state as an effective run, reduced to its expectations
-    times, _, f0 = _start(s, drive)
+    times, _, f0 = _start(s, s.drive)
     initial = expectation_kinematics(f0, h).state
     states = semiclassical_evolve(initial, h, h.flux_angle, times)
     rows = [[t, st.n_mean, st.m_mean, st.Pn_mean, st.Pm_mean]
@@ -259,12 +238,10 @@ def _run_semiclassical(s: Scenario):
 def _run_compare(s: Scenario):
     rows, peaks, finals = [], [], []
     truncation = False
-    for omega in s.omegas:
-        drive = s.drive_for(omega)
+    for omega, drive, h in zip(s.omegas, s.drives, s.hoppings):
         times, c0, f0 = _start(s, drive)
         full = evolve_full(c0, drive, s.J_x, s.J_y, times, s.integrator,
                            s.t_start)
-        h = _hoppings(s, drive)
         eff = evolve_effective(f0, h, times, s.integrator, s.t_start)
         dev = model_deviation(full, eff, drive)
         truncation = truncation or full.truncation_warning or eff.truncation_warning
@@ -282,11 +259,7 @@ def _run_compare(s: Scenario):
 
 
 def _run_units(s: Scenario):
-    try:
-        params = physical_units(**s.units_params)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
-    record = dataclasses.asdict(params)
+    record = dataclasses.asdict(s.units)
     fmt = ["%d" if isinstance(v, int) else "%.12g" for v in record.values()]
     return record, False, {"units": (list(record), [list(record.values())], fmt)}
 

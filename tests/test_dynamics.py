@@ -360,6 +360,11 @@ def test_sample_grid_validation():
                    edge_mass_max=0.0, truncation_warning=False)
     with pytest.raises(ValueError, match="read-only"):
         traj.amplitudes[0, 0, 0] = 0.0
+    with pytest.raises(ValueError, match="norms shape"):
+        Trajectory(times=traj.times, window=w, amplitudes=traj.amplitudes,
+                   norms=[1.0], edge_mass_max=0.0, truncation_warning=False)
+    with pytest.raises(ValueError, match="read-only"):
+        traj.norms[0] = 0.0
 
 
 def test_integrator_options_reject_non_finite_and_negative():

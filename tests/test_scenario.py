@@ -1,0 +1,197 @@
+"""Scenario loading: canonical config form, run objects built once at load."""
+
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+import fluxlattice.runner
+from fluxlattice import run_scenario
+from fluxlattice.config import ValidationError, load_config, scenario_from_sections
+from fluxlattice.core import DriveSpec, Waveform
+from fluxlattice.dynamics import IntegratorOptions
+from fluxlattice.hopping import hoppings_from_drive
+from fluxlattice.physical import physical_units
+from fluxlattice.spectrum import RationalFlux, farey_fluxes
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SHIPPED = sorted(p.name for p in CONFIGS.glob("*.ini") if p.name != "sweep_gamma.ini")
+
+DRIVE_KEYS = {"waveform", "omega", "Gamma", "M", "sigma", "rho", "beta0"}
+EVOLVE_KEYS = {
+    "scenario": {"kind", "label"},
+    "drive": DRIVE_KEYS,
+    "coupling": {"J_x", "J_y", "method"},
+    "lattice": {"n_half", "m_half"},
+    "input": {"width", "tilt", "imprint"},
+    "time": {"t_max", "stroboscopic", "t_start"},
+}
+OUTPUT_KEYS = {"fields", "profile", "com"}
+DRIVE_ONLY = {k: EVOLVE_KEYS[k] for k in ("scenario", "drive", "coupling")}
+UNITS_KEYS = {"J_per_cm", "Gamma", "omega_over_J", "M", "d_m", "lambda_m", "n_s",
+              "J_t_max"}
+
+# canonical section/key set of each kind, for a config without dt_sample
+# or [integrator]; full and effective runs always carry [output]
+KIND_KEYS = {
+    "full_evolve": {**EVOLVE_KEYS, "output": OUTPUT_KEYS},
+    "effective_evolve": {**EVOLVE_KEYS, "output": OUTPUT_KEYS},
+    "semiclassical": EVOLVE_KEYS,
+    "compare": {**EVOLVE_KEYS, "drive": DRIVE_KEYS - {"omega"},
+                "compare": {"omegas"}},
+    "hoppings": DRIVE_ONLY,
+    "spectrum": {**DRIVE_ONLY, "spectrum": {"flux", "k_grid"}},
+    "units": {"scenario": {"kind", "label"}, "units": UNITS_KEYS},
+}
+
+
+def _key_sets(cfg):
+    return {name: set(keys) for name, keys in cfg.items()}
+
+
+def _drive_sections(kind="hoppings"):
+    return {
+        "scenario": {"kind": kind, "label": "s"},
+        "drive": {"waveform": "sinusoidal", "omega": "8", "Gamma": "0.717",
+                  "M": "1", "sigma": "pi", "rho": "pi"},
+        "coupling": {"J_x": "1", "J_y": "1"},
+    }
+
+
+def _evolve_sections(kind="effective_evolve"):
+    cfg = _drive_sections(kind)
+    cfg["lattice"] = {"n_half": "3"}
+    cfg["input"] = {"width": "1.5"}
+    cfg["time"] = {"t_max": "0.4", "dt_sample": "0.2"}
+    return cfg
+
+
+def _compare_sections():
+    cfg = _evolve_sections("compare")
+    cfg["drive"].pop("omega")
+    cfg["time"] = {"t_max": "0.5"}
+    cfg["compare"] = {"omegas": "20, 40"}
+    return cfg
+
+
+def _spectrum_sections(flux):
+    cfg = _drive_sections("spectrum")
+    cfg["spectrum"] = {"flux": flux}
+    return cfg
+
+
+# -- canonical form --------------------------------------------------------------
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_shipped_config_canonical_form_round_trips(name):
+    s = load_config(CONFIGS / name)
+    cfg = s.resolved_config()
+    text = json.dumps(cfg)
+    assert json.loads(text) == cfg  # plain JSON types only
+    assert scenario_from_sections(json.loads(text)) == s
+    expected = KIND_KEYS[s.kind]
+    if s.kind != "compare" and "time" in cfg and not s.stroboscopic:
+        expected = {**expected, "time": expected["time"] | {"dt_sample"}}
+    assert _key_sets(cfg) == expected
+
+
+def test_canonical_form_fills_defaults_and_omits_absent_options():
+    cfg = scenario_from_sections(_evolve_sections()).resolved_config()
+    assert cfg["output"] == {"fields": False, "profile": True, "com": True}
+    assert cfg["drive"]["beta0"] == 0.0
+    assert cfg["coupling"]["method"] == "auto"
+    assert cfg["lattice"] == {"n_half": 3, "m_half": 3}
+    assert cfg["time"] == {"t_max": 0.4, "dt_sample": 0.2,
+                           "stroboscopic": False, "t_start": 0.0}
+    assert "integrator" not in cfg
+
+    sections = _evolve_sections()
+    sections["integrator"] = {"norm_drift_tol": "1e-9"}
+    cfg = scenario_from_sections(sections).resolved_config()
+    assert cfg["integrator"] == {"norm_drift_tol": 1e-9, "edge_mass_tol": 1e-6}
+    sections["integrator"]["dt_max"] = "0.01"
+    cfg = scenario_from_sections(sections).resolved_config()
+    assert cfg["integrator"]["dt_max"] == 0.01
+
+    s = scenario_from_sections(_compare_sections())
+    cfg = s.resolved_config()
+    assert "omega" not in cfg["drive"] and "dt_sample" not in cfg["time"]
+    assert cfg["time"]["stroboscopic"] is True
+    assert cfg["compare"] == {"omegas": [20.0, 40.0]}
+
+    units = {"scenario": {"kind": "units", "label": "u"},
+             "units": {"J_per_cm": "1", "Gamma": "0.717", "omega_over_J": "8",
+                       "M": "1", "d_m": "19e-6", "lambda_m": "633e-9",
+                       "n_s": "1.45"}}
+    cfg = scenario_from_sections(units).resolved_config()
+    assert cfg["units"]["J_t_max"] == 10.0 and cfg["units"]["M"] == 1
+    del units["units"]["n_s"]
+    with pytest.raises(ValidationError, match=r"missing required key \[units\] n_s"):
+        scenario_from_sections(units)
+
+
+def test_resolved_config_is_a_copy():
+    s = scenario_from_sections(_evolve_sections())
+    s.resolved_config()["lattice"]["n_half"] = 99
+    assert s.resolved_config()["lattice"]["n_half"] == 3
+
+
+# -- run objects built once --------------------------------------------------------
+
+def test_scenario_carries_its_run_objects():
+    sinusoid = Waveform.sinusoidal()
+
+    def drive(omega):
+        return DriveSpec.resonant(omega=omega, Gamma=0.717, M=1, sigma=math.pi,
+                                  rho=math.pi, waveform=sinusoid)
+
+    s = scenario_from_sections(_compare_sections())
+    assert s.drives == (drive(20.0), drive(40.0))
+    assert s.hoppings == tuple(hoppings_from_drive(d, 1.0, 1.0) for d in s.drives)
+    assert s.drive == s.drives[0]
+    assert s.drive_for(60.0) == drive(60.0)
+
+    full = scenario_from_sections(_evolve_sections("full_evolve"))
+    assert full.drives == (drive(8.0),) and full.hoppings == ()
+
+    for kind in ("effective_evolve", "semiclassical", "hoppings"):
+        sections = _evolve_sections(kind) if kind != "hoppings" else _drive_sections()
+        s = scenario_from_sections(sections)
+        assert s.hoppings == (hoppings_from_drive(drive(8.0), 1.0, 1.0),)
+
+    h = hoppings_from_drive(drive(8.0), 1.0, 1.0)
+    assert scenario_from_sections(_spectrum_sections("farey:3")).fluxes == tuple(
+        farey_fluxes(3))
+    assert scenario_from_sections(_spectrum_sections("auto")).fluxes == (
+        RationalFlux.from_float(h.alpha),)
+    assert scenario_from_sections(_spectrum_sections("1/3")).fluxes == (RationalFlux(1, 3),)
+
+    s = load_config(CONFIGS / "units.ini")
+    assert s.units == physical_units(J_per_cm=1.0, Gamma=0.717, omega_over_J=8.0, M=1,
+                                     d_m=19e-6, lambda_m=633e-9, n_s=1.45)
+    assert s.drives == () and s.hoppings == () and s.fluxes == ()
+
+    sections = _evolve_sections()
+    sections["integrator"] = {"dt_max": "0.01"}
+    assert scenario_from_sections(sections).integrator == IntegratorOptions(dt_max=0.01)
+
+
+@pytest.mark.parametrize("sections", [
+    _evolve_sections(),
+    _evolve_sections("semiclassical"),
+    _compare_sections(),
+    _spectrum_sections("1/2"),
+    _spectrum_sections("auto"),
+    _spectrum_sections("farey:3"),
+], ids=["effective", "semiclassical", "compare", "bands", "bands-auto", "butterfly"])
+def test_runs_use_the_hoppings_built_at_load(tmp_path, monkeypatch, sections):
+    s = scenario_from_sections(sections)
+
+    def rebuilt(*args, **kwargs):
+        raise AssertionError("hoppings rebuilt at run time")
+
+    monkeypatch.setattr(fluxlattice.runner, "hoppings_from_drive", rebuilt)
+    result = run_scenario(s, tmp_path, quiet=True)
+    assert result.exit_code == 0
+    assert result.metadata["config"] == s.resolved_config()
