@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 TWO_PI = 2.0 * math.pi
 
@@ -146,7 +145,7 @@ class Waveform:
             ys = np.append(ys, ys[0])
         elif abs(ys[-1] - ys[0]) > 1e-12 * scale:
             raise ValueError("periodic closure requires ys[-1] == ys[0]")
-        mean = trapezoid(ys, xs) / TWO_PI
+        mean = (np.diff(xs) * (ys[1:] + ys[:-1]) / 2.0).sum() / TWO_PI
         if abs(mean) > 1e-12 * scale:
             raise ValueError(f"waveform must have zero mean, got {mean:.3e}")
         return cls(WaveformKind.SAMPLED, tuple(xs), tuple(ys))
@@ -245,7 +244,8 @@ def smoothed_delta_train(width: float, num_samples: int = 8192) -> Waveform:
     norm = 1.0 / (width * math.sqrt(TWO_PI))
     for l in range(-4, 7):
         h += (-1) ** l * norm * np.exp(-0.5 * ((xs - l * math.pi) / width) ** 2)
-    h -= trapezoid(h, xs) / TWO_PI  # +/- pulses already cancel; scrub rounding
+    # +/- pulses already cancel; scrub rounding (trapezoid rule)
+    h -= (np.diff(xs) * (h[1:] + h[:-1]) / 2.0).sum() / TWO_PI
     h[-1] = h[0]
     return Waveform.sampled(xs, h)
 

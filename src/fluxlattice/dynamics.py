@@ -151,14 +151,6 @@ def _neighbor_matrix(window: LatticeWindow, up_x, up_y) -> sparse.csr_matrix:
     return sparse.diags(data, offsets, shape=(N, N), format="csr", dtype=complex)
 
 
-def _edge_indices(window: LatticeWindow) -> np.ndarray:
-    Nn, Nm = window.shape
-    mask = np.zeros((Nn, Nm), dtype=bool)
-    mask[0, :] = mask[-1, :] = True
-    mask[:, 0] = mask[:, -1] = True
-    return np.flatnonzero(mask.ravel())
-
-
 def _step_size(opts: IntegratorOptions, J_ref: float, lam: float,
                period: float, nu: float) -> float:
     h = opts.dt_max
@@ -233,21 +225,26 @@ def _integrate_sampled(psi, t_start, t_samples, advance, window):
     t_a; a sample at or before the current time repeats the current state.
     Returns (amps, norms, edge_mass_max).
     """
-    edge = _edge_indices(window)
     amps = np.empty((len(t_samples),) + window.shape, dtype=complex)
-    norms = np.empty(len(t_samples))
-    edge_mass_max = 0.0
     t_cur = t_start
     for si, ts in enumerate(t_samples):
         if ts > t_cur:
             psi = advance(psi, t_cur, ts)
             t_cur = ts
         amps[si] = psi.reshape(window.shape)
-        norms[si] = float(np.vdot(psi, psi).real)
-        if norms[si] > 0.0:
-            edge_mass_max = max(edge_mass_max,
-                                float(np.sum(np.abs(psi[edge]) ** 2)) / norms[si])
-    return amps, norms, edge_mass_max
+    return (amps,) + _sample_norms(amps, window)
+
+
+def _sample_norms(amps, window):
+    """Norm of each sample and the largest share of one on the edge ring."""
+    flat = amps.reshape(len(amps), -1)
+    ring = np.ones(window.shape, dtype=bool)
+    ring[1:-1, 1:-1] = False
+    edge = np.flatnonzero(ring)
+    norms = np.array([np.vdot(v, v).real for v in flat])
+    shares = [float(np.sum(np.abs(v[edge]) ** 2)) / norm
+              for v, norm in zip(flat, norms) if norm > 0.0]
+    return norms, max(shares, default=0.0)
 
 
 def _finish_trajectory(window, t_samples, amps, norms, edge_mass_max, opts,

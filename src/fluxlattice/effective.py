@@ -28,9 +28,9 @@ from .dynamics import (
     Trajectory,
     _check_samples,
     _finish_trajectory,
-    _integrate_sampled,
     _neighbor_matrix,
     _rk4_span,
+    _sample_norms,
 )
 from .hopping import EffectiveHoppings, jv
 
@@ -45,6 +45,9 @@ __all__ = [
     "expectation_kinematics",
 ]
 
+_BLOCK_SPAN = 4.0  # largest R (t - t_b) one Chebyshev basis serves
+_CHEBYSHEV_CHUNK = 32  # T_k(H/R) psi vectors held at once
+
 
 def effective_matrix(window: LatticeWindow, hoppings: EffectiveHoppings):
     """Static effective Hamiltonian on the flattened window (CSR)."""
@@ -52,13 +55,30 @@ def effective_matrix(window: LatticeWindow, hoppings: EffectiveHoppings):
     return _neighbor_matrix(window, -hoppings.kappa_x, up_y)
 
 
-def _chebyshev_coefficients(x: float) -> np.ndarray:
-    """exp(-i x y) = sum_k (2 - delta_k0) (-i)^k J_k(x) T_k(y), |y| <= 1."""
-    k = np.arange(int(x + 10.0 * x ** (1.0 / 3.0) + 30.0))
-    c = np.where(k == 0, 1.0, 2.0) * (-1j) ** (k % 4) * jv(k, x)
-    if not abs(c[-1]) < 1e-16:
-        raise AssertionError(f"Chebyshev series at x = {x:.6g} not converged")
-    return c[:max(2, np.flatnonzero(np.abs(c) >= 1e-16)[-1] + 1)]
+def _chebyshev_block(Hs, psi: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
+    """out[i] = exp(-i x_i Hs) psi = sum_k (2 - delta_k0) (-i)^k J_k(x_i) T_k(Hs) psi.
+
+    All rows run to the last term some row needs (>= 1e-16).  The T_k(Hs) psi
+    pass through a _CHEBYSHEV_CHUNK-row buffer, flushed into out when full.
+    """
+    top = float(np.max(x))
+    k = np.arange(int(top + 10.0 * top ** (1.0 / 3.0) + 30.0))
+    c = np.where(k == 0, 1.0, 2.0) * (-1j) ** (k % 4) * jv(k, x[:, None])
+    if not np.all(np.abs(c[:, -1]) < 1e-16):
+        raise AssertionError(f"Chebyshev series at x = {top:.6g} not converged")
+    terms = max(2, np.flatnonzero(np.any(np.abs(c) >= 1e-16, axis=0))[-1] + 1)
+    buf = np.empty((min(_CHEBYSHEV_CHUNK, terms), psi.size), dtype=complex)
+    for k in range(terms):
+        j = k % len(buf)
+        if k < 2:
+            buf[k] = Hs @ psi if k else psi
+        else:  # T_k = 2 Hs T_(k-1) - T_(k-2); rows j-1 and j-2 wrap around
+            np.subtract(2.0 * (Hs @ buf[j - 1]), buf[j - 2], out=buf[j])
+        if j == len(buf) - 1 or k == terms - 1:
+            if k == j:
+                np.matmul(c[:, :k + 1], buf[:k + 1], out=out)
+            else:
+                out += c[:, k - j:k + 1] @ buf[:j + 1]
 
 
 def evolve_effective(initial: WaveField, hoppings: EffectiveHoppings, t_samples,
@@ -66,10 +86,13 @@ def evolve_effective(initial: WaveField, hoppings: EffectiveHoppings, t_samples,
                      t_start: float = 0.0) -> Trajectory:
     """Propagate the effective model exactly, with evolve_full's contract.
 
-    Each sample follows from the last by exp(-i H dt), summed as a Chebyshev
-    series in H/R with R = 2(|kappa_x| + |kappa_y|) >= ||H|| (Tal-Ezer and
-    Kosloff 1984) down to coefficients below 1e-16.  There is no step rule:
-    opts.dt_max has no effect; the drift and edge-mass checks still apply.
+    exp(-i H dt) is a Chebyshev series in H/R, R = 2(|kappa_x| + |kappa_y|)
+    >= ||H|| (Tal-Ezer and Kosloff 1984).  From the state at a block start
+    t_b, one set of T_k(H/R) psi(t_b) serves every following sample with
+    R (t - t_b) <= _BLOCK_SPAN (at least one), each a row of one matrix
+    product; the block's last sample starts the next.  A sample at or before
+    t_start is the input.  opts.dt_max has no effect; the drift and
+    edge-mass checks still apply.
     """
     opts = opts or IntegratorOptions()
     window = initial.window
@@ -78,21 +101,16 @@ def evolve_effective(initial: WaveField, hoppings: EffectiveHoppings, t_samples,
     kx, ky = abs(hoppings.kappa_x), abs(hoppings.kappa_y)
     R = 2.0 * (kx + ky) or 1.0
     Hs = effective_matrix(window, hoppings) / R
-    coefficients = {}
-
-    def advance(v, t_a, t_b):
-        x = R * (t_b - t_a)
-        if x not in coefficients:
-            coefficients[x] = _chebyshev_coefficients(x)
-        c = coefficients[x]
-        prev, cur = v, Hs @ v
-        out = c[0] * prev + c[1] * cur
-        for ck in c[2:]:
-            prev, cur = cur, 2.0 * (Hs @ cur) - prev
-            out += ck * cur
-        return out
-
-    amps, norms, edge_max = _integrate_sampled(psi, t_start, t, advance, window)
+    amps = np.empty((t.size, psi.size), dtype=complex)
+    start, t_b = 0, t_start
+    while start < t.size:
+        stop = max(start + 1, int(np.searchsorted(t, t_b + _BLOCK_SPAN / R,
+                                                  side="right")))
+        x = R * np.maximum(t[start:stop] - t_b, 0.0)
+        _chebyshev_block(Hs, psi, x, amps[start:stop])
+        start, t_b, psi = stop, max(t_b, t[stop - 1]), amps[stop - 1]
+    amps = amps.reshape((t.size,) + window.shape)
+    norms, edge_max = _sample_norms(amps, window)
     return _finish_trajectory(window, t, amps, norms, edge_max, opts,
                               max(kx, ky) or 1.0, t_start)
 

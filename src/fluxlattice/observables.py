@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .core import DriveSpec, TWO_PI, WaveField
 from .dynamics import Trajectory
@@ -107,22 +106,44 @@ def revival_period(record: FringeRecord) -> float | None:
     if ac[0] <= 0.0:
         return None
     acn = ac / ac[0]
-    peaks, _ = find_peaks(acn, prominence=0.5)
-    if peaks.size == 0:
-        return None
-    return float(peaks[0] * dt[0])
+    peak = _first_peak(acn, 0.5)
+    return None if peak is None else float(peak * dt[0])
+
+
+def _first_peak(x: np.ndarray, prominence: float) -> int | None:
+    """First peak that scipy.signal.find_peaks(x, prominence=...) reports.
+
+    A peak is an interior local maximum; a plateau counts once, at its
+    midpoint.  Its prominence is its height above the higher of the two
+    minima between it and the nearest strictly higher sample (or the end
+    of x) on each side.
+    """
+    for i in np.flatnonzero(x[1:-1] > x[:-2]) + 1:  # rises: plateau starts
+        j = i + 1
+        while j < x.size - 1 and x[j] == x[i]:
+            j += 1
+        if x[j] < x[i]:
+            p = (i + j - 1) // 2
+            higher = np.flatnonzero(x > x[p])
+            lo = max(higher[higher < p], default=-1) + 1
+            hi = min(higher[higher > p], default=x.size)
+            if x[p] - max(x[lo:p + 1].min(), x[p:hi].min()) >= prominence:
+                return int(p)
+    return None
 
 
 def com_path(traj: Trajectory) -> np.ndarray:
     """Center of mass (<n>, <m>) per sample, shape (T, 2)."""
-    weight = np.abs(traj.amplitudes) ** 2
-    norms = weight.sum(axis=(1, 2))
-    if np.any(norms <= 0.0):
-        raise ValueError("zero-norm field in trajectory")
     w = traj.window
-    n_mean = (weight * w.n_grid[None, :, :]).sum(axis=(1, 2)) / norms
-    m_mean = (weight * w.m_grid[None, :, :]).sum(axis=(1, 2)) / norms
-    return np.column_stack([n_mean, m_mean])
+    path = np.empty((traj.times.size, 2))
+    for i, f in enumerate(traj.amplitudes):
+        weight = np.abs(f) ** 2
+        norm = weight.sum()
+        if norm <= 0.0:
+            raise ValueError("zero-norm field in trajectory")
+        path[i] = (weight.sum(axis=1) @ w.n_values / norm,
+                   weight.sum(axis=0) @ w.m_values / norm)
+    return path
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,14 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import fluxlattice
 from fluxlattice import run_scenario
 from fluxlattice.cli import main
 from fluxlattice.config import (
@@ -702,3 +706,14 @@ def test_units_command_text_and_json(tmp_path, capsys):
     assert record["Lambda_mod_mm"] == pytest.approx(7.854, abs=0.005)
     assert record["delta_n"] == pytest.approx(5.78e-5, abs=2e-7)
     assert record["L_cm"] == pytest.approx(10.0)
+
+
+def test_import_leaves_heavy_scipy_modules_unloaded():
+    code = ("import sys, fluxlattice; print(' '.join(m for m in "
+            "('scipy.signal', 'scipy.integrate', 'scipy.stats') if m in sys.modules))")
+    src = str(Path(fluxlattice.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == ""

@@ -76,7 +76,8 @@ def _expm_reference(field, h, ts, t_start=0.0):
 
 
 @pytest.mark.parametrize("case", ["dense", "stroboscopic", "t_start",
-                                  "zero_hoppings", "long_span"])
+                                  "zero_hoppings", "long_span", "many_blocks",
+                                  "irregular", "near_t_start"])
 def test_propagator_matches_expm_multiply(rng, case):
     h = _fig_hoppings()
     w = LatticeWindow.centered(12, 10)
@@ -95,12 +96,22 @@ def test_propagator_matches_expm_multiply(rng, case):
         h = EffectiveHoppings(1.0, 1.0, alpha=0.2, M=1, sigma=0.4 * PI, rho=PI)
         w = LatticeWindow.centered(40)
         ts = [150.0]
+    elif case == "many_blocks":
+        # R t_max ~ 35: about nine blocks of Chebyshev vectors
+        ts = np.linspace(0.0, 8.0, 401)
+    elif case == "irregular":
+        # gaps from far below to far above one block's span in R t
+        gaps = np.exp(rng.uniform(np.log(1e-4), np.log(3.0), size=60))
+        ts = 0.2 + np.cumsum(gaps)
+    elif case == "near_t_start":
+        # a first sample 5e-13 before t_start is the input itself
+        ts, t_start = np.array([0.7 - 5e-13, 0.9, 3.0]), 0.7
     field = _random_field(rng, w)
     traj = evolve_effective(field, h, ts, t_start=t_start)
     ref = _expm_reference(field, h, ts, t_start)
     err = np.max(np.abs(traj.amplitudes.reshape(len(ts), -1) - ref))
     assert err <= 1e-12
-    if case == "t_start":
+    if case in ("t_start", "near_t_start"):
         np.testing.assert_array_equal(traj.amplitudes[0], field.amplitudes)
 
 

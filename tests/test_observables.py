@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from scipy.signal import find_peaks
 
 from fluxlattice import (
     DriveSpec,
@@ -23,6 +25,7 @@ from fluxlattice import (
     vertical_profile,
     with_visibility,
 )
+from fluxlattice.observables import _first_peak
 
 PI = math.pi
 
@@ -112,6 +115,27 @@ def test_revival_period_input_validation():
                          vis.visibility[:2], None)
     with pytest.raises(ValueError, match="uniform time grid"):
         revival_period(short)
+
+
+def _raise_next_to_end(levels, left):
+    x = np.array(levels, dtype=float)
+    x[1 if left else -2] = x.max() + 1.0
+    return x
+
+
+_series = st.one_of(
+    st.lists(st.floats(-1.0, 1.0), max_size=40).map(np.array),
+    # few levels: plateaus and ties with neighbours
+    st.lists(st.integers(0, 3), max_size=40).map(lambda v: np.array(v, float)),
+    st.builds(_raise_next_to_end, st.lists(st.integers(0, 3), min_size=3,
+                                           max_size=40), st.booleans()),
+)
+
+
+@given(x=_series, prominence=st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0]))
+def test_first_peak_matches_scipy_find_peaks(x, prominence):
+    peaks, _ = find_peaks(x, prominence=prominence)
+    assert _first_peak(x, prominence) == (int(peaks[0]) if peaks.size else None)
 
 
 # -- center of mass ----------------------------------------------------------------
