@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .core import DriveSpec, LatticeWindow, Waveform
-from .dynamics import IntegratorOptions
+from .dynamics import IntegratorOptions, _step_size
 from .hopping import EffectiveHoppings, hoppings_from_drive
 from .physical import PhysicalParams, physical_units
 from .spectrum import RationalFlux, farey_fluxes
@@ -374,6 +374,10 @@ def scenario_from_sections(sections: dict) -> Scenario:
             drives = tuple(_drive(config["drive"], om) for om in
                            fields.get("omegas") or (config["drive"]["omega"],))
             fields["drives"] = drives
+            if kind in ("full_evolve", "compare") and waveform != "delta_kicks":
+                for d in drives:  # an RK4 step underflow fails here, not mid-run
+                    _step_size(d, fields["J_x"], fields["J_y"],
+                               fields.get("integrator") or IntegratorOptions())
             if kind != "full_evolve":
                 fields["hoppings"] = tuple(
                     hoppings_from_drive(d, fields["J_x"], fields["J_y"], fields["method"])

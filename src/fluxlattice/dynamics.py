@@ -1,8 +1,8 @@
-"""Exact time integration of the driven lattice and input-state builders.
+"""Exact time propagation of the driven lattice and input-state builders.
 
 The driven model, i dc/dt = H_hop c + beta(t) c with static hopping rates
 Jx, Jy and on-site beta[n,m](t) = beta0 + F m + A H(omega t + phi[n,m]),
-is integrated in the gauge frame f = c exp(i theta(t)), theta being the
+is propagated in the gauge frame f = c exp(i theta(t)), theta being the
 gauge phase of core.gauge_phase.  Since d theta/dt = beta, the diagonal
 drops out exactly:
 
@@ -10,9 +10,9 @@ drops out exactly:
 
 This right-hand side has norm 2(|Jx| + |Jy|) on any window; its time
 dependence sits in the link phases theta_i - theta_j, which turn at a rate
-of at most nu = |F| + 2 |A| max|H|.  Fixed-step classical RK4 on f (the
-integrating-factor, or Lawson, form of RK4) therefore takes a step set by
-omega, Gamma and J, not by the tilt F m_max of the window:
+of at most nu = |F| + 2 |A| max|H|.  For smooth drives, fixed-step RK4 on
+f (the integrating-factor, or Lawson, form of RK4) therefore takes a step
+set by omega, Gamma and J, not by the tilt F m_max of the window:
 
     h = min(dt_max, 0.1 / nu, norm-drift bound at lambda = 2(|Jx| + |Jy|)),
 
@@ -24,13 +24,14 @@ explicit RK4 below norm_drift_tol * J * (t - t_start); drift is budgeted,
 not corrected, and every trajectory records its sampled norms (|f| = |c|)
 so the budget can be audited after the fact.
 
-The alternating delta-kick train needs no events: the kicks live inside
-theta, in the piecewise-constant square wave G (so nu = |F|), and f is
-continuous across them.  Kick times are breakpoints that no RK4 step
-crosses; each span between them uses the G branch constant on the open
-span.  Inputs are mapped in with the pre-kick branch at t_start, so a kick
-at t_start acts once, and samples are mapped back with the post-kick branch
-(right-continuity).
+The delta-kick train takes no step.  Between kicks beta = beta0 + F m is
+static, so U = U_x (x) U_y is exact from one eigh of each chain, the Nm
+one tilted (the Wannier-Stark propagator; Hartmann, Keck, Korsch &
+Mossmann, New J. Phys. 6, 2 (2004)).  f is continuous across the kicks,
+which live in the square wave G of theta: a span leaves f with G's
+post-kick branch at its start and returns with the pre-kick branch at its
+end.  Inputs are mapped in with the pre-kick branch at t_start, so a kick
+there acts once, and samples are mapped back with the post-kick branch.
 """
 
 from __future__ import annotations
@@ -68,9 +69,9 @@ class IntegratorOptions:
     """Step cap of evolve_full and monitoring tolerances of both models.
 
     dt_max = None resolves to min(0.01/J, 0.02 * drive period); the exact
-    evolve_effective ignores it.  norm_drift_tol is a budget per unit J*t;
-    edge_mass_tol flags window truncation when the boundary ring carries
-    more relative intensity.
+    paths (evolve_effective, kick runs of evolve_full) ignore it.
+    norm_drift_tol is a budget per unit J*t; edge_mass_tol flags window
+    truncation when the boundary ring carries more relative intensity.
     """
 
     dt_max: float | None = None
@@ -151,11 +152,15 @@ def _neighbor_matrix(window: LatticeWindow, up_x, up_y) -> sparse.csr_matrix:
     return sparse.diags(data, offsets, shape=(N, N), format="csr", dtype=complex)
 
 
-def _step_size(opts: IntegratorOptions, J_ref: float, lam: float,
-               period: float, nu: float) -> float:
+def _step_size(drive: DriveSpec, J_x: float, J_y: float,
+               opts: IntegratorOptions) -> float:
+    """RK4 step of a smooth-drive full run (module docstring)."""
+    J_ref = max(abs(J_x), abs(J_y)) or 1.0
+    lam = 2.0 * (abs(J_x) + abs(J_y))
+    nu = abs(drive.F) + 2.0 * abs(drive.A) * drive.waveform.pointwise_bound
     h = opts.dt_max
     if h is None:
-        h = min(0.01 / J_ref, 0.02 * period)
+        h = min(0.01 / J_ref, 0.02 * drive.period)
     if nu > 0.0:
         h = min(h, _LINK_PHASE_STEP / nu)
     if lam > 0.0 and opts.norm_drift_tol > 0.0:
@@ -218,21 +223,20 @@ def _kick_times(drive: DriveSpec, window: LatticeWindow, t0: float,
     return np.unique(times)
 
 
-def _integrate_sampled(psi, t_start, t_samples, advance, window):
-    """Advance psi from t_start, emitting samples at exactly t_samples.
+def _split_span(drive: DriveSpec, window: LatticeWindow, J_x: float,
+                J_y: float, theta: _GaugePhase):
+    """span(f, t_a, t_b): exact gauge-frame propagation between kicks."""
+    Nn, Nm = window.shape
+    lx, vx = np.linalg.eigh(-J_x * (np.eye(Nn, k=1) + np.eye(Nn, k=-1)))
+    ly, vy = np.linalg.eigh(np.diag(drive.beta0 + drive.F * window.m_values)
+                            - J_y * (np.eye(Nm, k=1) + np.eye(Nm, k=-1)))
+    lam = lx[:, None] + ly[None, :]
 
-    ``advance(psi, t_a, t_b)`` returns the state at t_b > t_a from psi at
-    t_a; a sample at or before the current time repeats the current state.
-    Returns (amps, norms, edge_mass_max).
-    """
-    amps = np.empty((len(t_samples),) + window.shape, dtype=complex)
-    t_cur = t_start
-    for si, ts in enumerate(t_samples):
-        if ts > t_cur:
-            psi = advance(psi, t_cur, ts)
-            t_cur = ts
-        amps[si] = psi.reshape(window.shape)
-    return (amps,) + _sample_norms(amps, window)
+    def span(f, t_a, t_b):
+        c = (f * _unit_phase(-theta(t_a, "right"))).reshape(Nn, Nm)
+        c = vx @ ((vx.T @ c @ vy) * np.exp(-1j * (t_b - t_a) * lam)) @ vy.T
+        return c.ravel() * _unit_phase(theta(t_b, "left"))
+    return span
 
 
 def _sample_norms(amps, window):
@@ -279,67 +283,58 @@ def _check_samples(t_samples, t_start):
 def evolve_full(initial: WaveField, drive: DriveSpec, J_x: float, J_y: float,
                 t_samples, opts: IntegratorOptions | None = None,
                 t_start: float = 0.0) -> Trajectory:
-    """Integrate the driven model, sampling the field at exactly t_samples.
+    """Propagate the driven model, sampling the field at exactly t_samples.
 
     i dc/dt = -Jx (c[n+1,m] + c[n-1,m]) - Jy (c[n,m+1] + c[n,m-1])
               + beta[n,m](t) c[n,m]
 
-    RK4 runs in the gauge frame f = c exp(i theta(t)) (module docstring),
-    where the tilt and the modulation are exact phases and only the hopping
-    is integrated.  The step, min(dt_max, 0.1 / nu, norm-drift bound at
-    2(|Jx| + |Jy|)) with nu = |F| + 2 |A| max|H| (|F| for delta kicks),
-    does not depend on the window.  Delta kicks are breakpoints of the step
-    grid: the input is mapped in with the pre-kick branch, so a kick at
-    t = t_start acts once, and samples are mapped back with the post-kick
-    branch.  t_start lets a run begin before the first sample (e.g. mid-way
-    between kicks); by default integration starts at 0.
+    Both paths work in the gauge frame (module docstring): RK4 for smooth
+    drives, at a step min(dt_max, 0.1 / nu, norm-drift bound) independent
+    of the window, and exact spans between kicks for the delta-kick train,
+    which ignores dt_max.  The input is mapped in with the pre-kick branch,
+    so a kick at t = t_start acts once, and samples are mapped back with
+    the post-kick branch.  t_start (default 0) may precede the first sample.
     """
     opts = opts or IntegratorOptions()
     window = initial.window
     t = _check_samples(t_samples, t_start)
     theta = _GaugePhase(drive, window)
     f = (initial.amplitudes * np.exp(1j * theta(t_start, "left"))).ravel()
-    Hm = (-1j) * _neighbor_matrix(window, -J_x, -J_y)
 
-    J_ref = max(abs(J_x), abs(J_y)) or 1.0
-    wf = drive.waveform
-    stops = np.empty(0)
-    if wf.kind is WaveformKind.DELTA_KICKS:
-        nu = abs(drive.F)
+    if drive.waveform.kind is WaveformKind.DELTA_KICKS:
         stops = _kick_times(drive, window, t_start, float(t[-1]))
+        span = _split_span(drive, window, J_x, J_y, theta)
     else:
-        nu = abs(drive.F) + 2.0 * abs(drive.A) * wf.pointwise_bound
-    h_cap = _step_size(opts, J_ref, 2.0 * (abs(J_x) + abs(J_y)),
-                       period=drive.period, nu=nu)
-
-    def rhs_from(t_a):
-        # G is constant on the open span: its right branch at t_a, left
-        # elsewhere (they differ only at a kick, i.e. at the span's ends)
+        stops = np.empty(0)
+        h = _step_size(drive, J_x, J_y, opts)
+        Hm = (-1j) * _neighbor_matrix(window, -J_x, -J_y)
         cache = {}
 
         def rhs(tt, v):
-            if tt not in cache:
-                if len(cache) == 2:  # RK4 revisits only the last two times
-                    del cache[next(iter(cache))]
-                e = _unit_phase(theta(tt, "right" if tt == t_a else "left"))
+            if tt not in cache:  # RK4 asks for each time at most twice, in a row
+                cache.clear()
+                e = _unit_phase(theta(tt))
                 cache[tt] = (e, e.conj())
             e, e_conj = cache[tt]
             return e * (Hm @ (e_conj * v))
-        return rhs
 
-    def advance(psi, t_a, t_b):
-        # no RK4 step crosses a kick; one within 1e-9 of t_a or t_b
-        # coincides with it
-        for tb in stops[(stops > t_a + 1e-9) & (stops < t_b - 1e-9)]:
-            psi = _rk4_span(psi, t_a, tb, h_cap, rhs_from(t_a))
-            t_a = tb
-        return _rk4_span(psi, t_a, t_b, h_cap, rhs_from(t_a))
+        def span(v, t_a, t_b):
+            return _rk4_span(v, t_a, t_b, h, rhs)
 
-    amps, norms, edge_max = _integrate_sampled(f, t_start, t, advance, window)
+    # no span crosses a kick; one within 1e-9 of either end coincides with
+    # it, and a sample at or before the current time repeats the state
+    amps = np.empty((t.size,) + window.shape, dtype=complex)
+    t_cur = t_start
+    for i, ts in enumerate(t):
+        for t_b in [*stops[(stops > t_cur + 1e-9) & (stops < ts - 1e-9)], ts]:
+            if t_b > t_cur:
+                f, t_cur = span(f, t_cur, t_b), t_b
+        amps[i] = f.reshape(window.shape)
+    norms, edge_max = _sample_norms(amps, window)
     for i, ts in enumerate(t):
         amps[i] *= np.exp(-1j * theta(float(ts), "right"))
-    return _finish_trajectory(window, t, amps, norms, edge_max, opts, J_ref,
-                              t_start)
+    return _finish_trajectory(window, t, amps, norms, edge_max, opts,
+                              max(abs(J_x), abs(J_y)) or 1.0, t_start)
 
 
 def gaussian_input(window: LatticeWindow, width: float, tilt: float = 0.0,

@@ -668,6 +668,60 @@ def test_validate_derives_hoppings(tmp_path, capsys, ini, message):
     assert message in capsys.readouterr().err
 
 
+FAST_DRIVE_INI = """\
+[scenario]
+kind = full_evolve
+label = fast
+
+[drive]
+waveform = sinusoidal
+omega = 1e13
+Gamma = 1
+M = 1
+sigma = pi
+rho = pi
+
+[coupling]
+J_x = 1
+J_y = 1
+
+[lattice]
+n_half = 2
+
+[input]
+width = 1.5
+
+[time]
+t_max = 1e-12
+stroboscopic = true
+"""
+
+
+@pytest.mark.parametrize("ini", [
+    FAST_DRIVE_INI,
+    FAST_DRIVE_INI.replace("full_evolve", "compare").replace("omega = 1e13\n", "")
+    + "\n[compare]\nomegas = 1e13\n",
+], ids=["full_evolve", "compare"])
+def test_step_underflow_fails_at_load(tmp_path, capsys, ini):
+    # a sinusoid at omega = 1e13 needs an RK4 step of 3.3e-15 < 1e-12
+    cfg = _write(tmp_path, "fast.ini", ini)
+    assert main(["validate", str(cfg)]) == 3
+    assert "underflow" in capsys.readouterr().err
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path), "--quiet"]) == 3
+    assert not list(tmp_path.glob("fast_*"))
+
+
+def test_kicked_run_takes_no_step(tmp_path):
+    # the same drive as delta kicks is propagated exactly, with no step rule
+    cfg = _write(tmp_path, "fast.ini",
+                 FAST_DRIVE_INI.replace("sinusoidal", "delta_kicks"))
+    assert main(["validate", str(cfg)]) == 0
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path), "--quiet"]) == 0
+    meta = json.loads((tmp_path / "fast_meta.json").read_text(encoding="utf-8"))
+    assert meta["derived"]["samples"] == 2
+    assert abs(meta["derived"]["norm_final"] - 1.0) < 1e-12
+
+
 def test_sweep_expands_grid(tmp_path, capsys):
     template = _write(tmp_path, "hop.ini", HOPPINGS_INI)
     grid = _write(tmp_path, "grid.ini",
