@@ -41,7 +41,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .core import (
     DriveSpec,
@@ -126,30 +125,55 @@ class Trajectory:
 # assembly and stepping
 
 
-def _neighbor_matrix(window: LatticeWindow, up_x, up_y) -> sparse.csr_matrix:
-    """Hermitian hopping matrix on the flattened window (C order, i = n*Nm+m).
+class _Hop:
+    """v -> scale * H v, H the hopping matrix on the flattened window (i = n*Nm+m).
 
     up_x is the coefficient on c[n+1,m], up_y the one on c[n,m+1]; up_y may
     be a per-column (length Nn) array for column-dependent link phases.
-    Conjugate entries are filled in automatically.
+    Conjugate entries are filled in automatically.  H is four diagonals:
+    the scalar x-hop at offsets -Nm, +Nm and the y-hop array at -1, +1,
+    zeroed at column ends.  Each call adds them in ascending offset order,
+    as a CSR row does, into the same out buffer and returns it.
     """
-    Nn, Nm = window.shape
-    N = Nn * Nm
-    data, offsets = [], []
-    if Nn > 1:
-        dx = np.full(N - Nm, complex(up_x))
-        data += [dx, dx.conj()]
-        offsets += [Nm, -Nm]
-    if Nm > 1:
-        col = np.broadcast_to(np.asarray(up_y, dtype=complex).ravel(), (Nn,))
-        rows = np.arange(N - 1)
-        dy = col[rows // Nm].copy()
-        dy[rows % Nm == Nm - 1] = 0.0  # no wrap across column ends
-        data += [dy, dy.conj()]
-        offsets += [1, -1]
-    if not data:
+
+    def __init__(self, window: LatticeWindow, up_x, up_y, scale=1.0):
+        Nn, Nm = window.shape
+        N = Nn * Nm
+        diagonals = {}
+        if Nn > 1:
+            diagonals[-Nm] = scale * np.conj(complex(up_x))
+            diagonals[Nm] = scale * complex(up_x)
+        if Nm > 1:
+            col = np.broadcast_to(np.asarray(up_y, dtype=complex).ravel(), (Nn,))
+            dy = np.repeat(col, Nm)[:-1]
+            dy[Nm - 1::Nm] = 0.0  # no wrap across column ends
+            diagonals[-1] = scale * dy.conj()
+            diagonals[1] = scale * dy
+        self.diagonals = dict(sorted(diagonals.items()))
+        self.out, tmp = np.empty(N, dtype=complex), np.empty(N, dtype=complex)
+        self._terms = []  # (coefficient, source slice, out view, tmp view)
+        for k, d in self.diagonals.items():
+            a, b = max(k, 0), max(-k, 0)  # rows b:N-a gain d * v[a:N-b]
+            self._terms.append((d, slice(a, N - b), self.out[b:N - a], tmp[b:N - a]))
+
+    def __call__(self, v: np.ndarray) -> np.ndarray:
+        self.out.fill(0.0)
+        for d, src, out, tmp in self._terms:
+            np.multiply(d, v[src], out=tmp)
+            out += tmp
+        return self.out
+
+
+def _neighbor_matrix(window: LatticeWindow, up_x, up_y):
+    """_Hop's matrix in scipy CSR form (scipy is imported here only)."""
+    from scipy import sparse
+
+    hop = _Hop(window, up_x, up_y)
+    N = hop.out.size
+    if not hop.diagonals:
         return sparse.csr_matrix((N, N), dtype=complex)
-    return sparse.diags(data, offsets, shape=(N, N), format="csr", dtype=complex)
+    return sparse.diags(list(hop.diagonals.values()), list(hop.diagonals),
+                        shape=(N, N), format="csr", dtype=complex)
 
 
 def _step_size(drive: DriveSpec, J_x: float, J_y: float,
@@ -307,7 +331,7 @@ def evolve_full(initial: WaveField, drive: DriveSpec, J_x: float, J_y: float,
     else:
         stops = np.empty(0)
         h = _step_size(drive, J_x, J_y, opts)
-        Hm = (-1j) * _neighbor_matrix(window, -J_x, -J_y)
+        hop = _Hop(window, -J_x, -J_y, scale=-1j)
         cache = {}
 
         def rhs(tt, v):
@@ -316,7 +340,7 @@ def evolve_full(initial: WaveField, drive: DriveSpec, J_x: float, J_y: float,
                 e = _unit_phase(theta(tt))
                 cache[tt] = (e, e.conj())
             e, e_conj = cache[tt]
-            return e * (Hm @ (e_conj * v))
+            return e * hop(e_conj * v)
 
         def span(v, t_a, t_b):
             return _rk4_span(v, t_a, t_b, h, rhs)

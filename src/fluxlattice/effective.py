@@ -28,11 +28,12 @@ from .dynamics import (
     Trajectory,
     _check_samples,
     _finish_trajectory,
+    _Hop,
     _neighbor_matrix,
     _rk4_span,
     _sample_norms,
 )
-from .hopping import EffectiveHoppings, jv
+from .hopping import EffectiveHoppings, bessel_table
 
 __all__ = [
     "effective_matrix",
@@ -49,21 +50,27 @@ _BLOCK_SPAN = 4.0  # largest R (t - t_b) one Chebyshev basis serves
 _CHEBYSHEV_CHUNK = 32  # T_k(H/R) psi vectors held at once
 
 
+def _effective_links(window: LatticeWindow, hoppings: EffectiveHoppings):
+    """(up_x, up_y) of the effective Hamiltonian, up_y with its Peierls phase."""
+    peierls = np.exp(1j * hoppings.flux_angle * window.n_values)
+    return -hoppings.kappa_x, -hoppings.kappa_y * peierls
+
+
 def effective_matrix(window: LatticeWindow, hoppings: EffectiveHoppings):
-    """Static effective Hamiltonian on the flattened window (CSR)."""
-    up_y = -hoppings.kappa_y * np.exp(1j * hoppings.flux_angle * window.n_values)
-    return _neighbor_matrix(window, -hoppings.kappa_x, up_y)
+    """Static effective Hamiltonian on the flattened window (scipy CSR)."""
+    return _neighbor_matrix(window, *_effective_links(window, hoppings))
 
 
-def _chebyshev_block(Hs, psi: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
+def _chebyshev_block(hop2: _Hop, psi: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
     """out[i] = exp(-i x_i Hs) psi = sum_k (2 - delta_k0) (-i)^k J_k(x_i) T_k(Hs) psi.
 
-    All rows run to the last term some row needs (>= 1e-16).  The T_k(Hs) psi
-    pass through a _CHEBYSHEV_CHUNK-row buffer, flushed into out when full.
+    hop2 applies 2 Hs.  All rows run to the last term some row needs
+    (>= 1e-16).  The T_k(Hs) psi pass through a _CHEBYSHEV_CHUNK-row
+    buffer, flushed into out when full.
     """
     top = float(np.max(x))
     k = np.arange(int(top + 10.0 * top ** (1.0 / 3.0) + 30.0))
-    c = np.where(k == 0, 1.0, 2.0) * (-1j) ** (k % 4) * jv(k, x[:, None])
+    c = np.where(k == 0, 1.0, 2.0) * (-1j) ** (k % 4) * bessel_table(k[-1], x)
     if not np.all(np.abs(c[:, -1]) < 1e-16):
         raise AssertionError(f"Chebyshev series at x = {top:.6g} not converged")
     terms = max(2, np.flatnonzero(np.any(np.abs(c) >= 1e-16, axis=0))[-1] + 1)
@@ -71,9 +78,9 @@ def _chebyshev_block(Hs, psi: np.ndarray, x: np.ndarray, out: np.ndarray) -> Non
     for k in range(terms):
         j = k % len(buf)
         if k < 2:
-            buf[k] = Hs @ psi if k else psi
+            buf[k] = 0.5 * hop2(psi) if k else psi
         else:  # T_k = 2 Hs T_(k-1) - T_(k-2); rows j-1 and j-2 wrap around
-            np.subtract(2.0 * (Hs @ buf[j - 1]), buf[j - 2], out=buf[j])
+            np.subtract(hop2(buf[j - 1]), buf[j - 2], out=buf[j])
         if j == len(buf) - 1 or k == terms - 1:
             if k == j:
                 np.matmul(c[:, :k + 1], buf[:k + 1], out=out)
@@ -100,14 +107,14 @@ def evolve_effective(initial: WaveField, hoppings: EffectiveHoppings, t_samples,
     psi = initial.amplitudes.ravel().astype(complex)
     kx, ky = abs(hoppings.kappa_x), abs(hoppings.kappa_y)
     R = 2.0 * (kx + ky) or 1.0
-    Hs = effective_matrix(window, hoppings) / R
+    hop2 = _Hop(window, *_effective_links(window, hoppings), scale=2.0 / R)
     amps = np.empty((t.size, psi.size), dtype=complex)
     start, t_b = 0, t_start
     while start < t.size:
         stop = max(start + 1, int(np.searchsorted(t, t_b + _BLOCK_SPAN / R,
                                                   side="right")))
         x = R * np.maximum(t[start:stop] - t_b, 0.0)
-        _chebyshev_block(Hs, psi, x, amps[start:stop])
+        _chebyshev_block(hop2, psi, x, amps[start:stop])
         start, t_b, psi = stop, max(t_b, t[stop - 1]), amps[stop - 1]
     amps = amps.reshape((t.size,) + window.shape)
     norms, edge_max = _sample_norms(amps, window)

@@ -14,7 +14,8 @@ effective model; the flux density is alpha = sigma M / (2 pi).
 Two independent routes are provided on purpose: direct numerical
 quadrature, which works for any waveform, and closed-form expressions for
 the sinusoidal and delta-kick drives.  Keeping both lets each validate the
-other; do not fold them together.
+other; do not fold them together.  The Bessel functions of the sinusoidal
+closed form come from bessel_table, Miller's backward recurrence.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import jv
 
 from .core import TWO_PI, DriveSpec, Waveform, WaveformKind
 
@@ -37,6 +37,87 @@ __all__ = [
     "kappa_closed_delta",
     "hoppings_from_drive",
 ]
+
+_SERIES_BELOW = 1e-3  # power series below; its fourth term is < 3e-21 there
+_MILLER_START = 1e-280  # Miller's recurrence starts here, rescales past 1e300
+_LOG_MAX = math.log(1e300)
+
+
+def _start_order(top: int, x: float) -> int:
+    """Even start order of Miller's recurrence for J_0..J_top at arguments <= x.
+
+    Steps past max(top, x) until the bound (x/2)^v / v! on J_v(x) is below
+    1e-17, as the normalisation sum needs, and, when top >= x, e^-25 below
+    its value at top, so that J_top keeps 1e-13 relative accuracy.
+    """
+    v = max(top, math.ceil(x))
+    log_b = v * math.log(0.5 * x) - math.lgamma(v + 1.0)
+    target = min(math.log(1e-17), log_b - 25.0 if v == top else 0.0)
+    while log_b > target:
+        v += 1
+        log_b += math.log(0.5 * x / v)
+    return v + v % 2
+
+
+def _bessel_series(top: int, x: np.ndarray) -> np.ndarray:
+    """J_0..J_top at 0 < x < _SERIES_BELOW: three terms of the power series."""
+    n = np.arange(top + 1)
+    half = 0.5 * x[:, None]
+    lead = np.cumprod(np.where(n == 0, 1.0, half / np.maximum(n, 1)), axis=1)
+    mq = -half * half
+    return lead * (1.0 + mq / (n + 1) * (1.0 + mq / (2 * (n + 2))))
+
+
+def _bessel_miller(top: int, x: np.ndarray) -> np.ndarray:
+    """J_0..J_top at x >= _SERIES_BELOW by Miller's backward recurrence.
+
+    f_(j-1) = (2j/x) f_j - f_(j+1) from f_(N+1) = 0, normalised by
+    J_0 + 2 sum J_2k = 1.  No column grows by more than prod_j (2j/x_min + 1)
+    = (2/x_min)^N Gamma(N + 1 + x_min/2) / Gamma(1 + x_min/2), so rescaling
+    is checked for only when that bound can pass 1e300.
+    """
+    N = _start_order(top, float(x.max()))
+    f = np.zeros((N + 2, x.size))
+    f[N] = _MILLER_START
+    rows, ratio = list(f), list((2.0 * np.arange(N + 1))[:, None] / x)
+    x_min = float(x.min())
+    log_bound = math.log(_MILLER_START)
+    check = (log_bound + N * math.log(2.0 / x_min) + math.lgamma(N + 1.0 + 0.5 * x_min)
+             - math.lgamma(1.0 + 0.5 * x_min)) > _LOG_MAX
+    for j in range(N, 0, -1):
+        if check:
+            log_bound += math.log1p(2.0 * j / x_min)
+            if log_bound > _LOG_MAX:
+                f[j:] /= np.maximum(np.abs(rows[j]), np.abs(rows[j + 1]))
+                log_bound = math.log1p(2.0 * j / x_min)
+        np.multiply(ratio[j], rows[j], out=rows[j - 1])
+        np.subtract(rows[j - 1], rows[j + 1], out=rows[j - 1])
+    return (f[:top + 1] / (f[0] + 2.0 * f[2:N + 1:2].sum(axis=0))).T
+
+
+def bessel_table(top: int, x) -> np.ndarray:
+    """J_0(x) .. J_top(x) for x >= 0, in an array of shape x.shape + (top + 1,)."""
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    if not np.all((flat >= 0.0) & (flat < math.inf)):
+        raise ValueError("bessel_table needs finite x >= 0")
+    out = np.zeros((flat.size, top + 1))
+    out[flat == 0.0, 0] = 1.0  # J_n(0) = delta_n0
+    big = flat >= _SERIES_BELOW
+    small = (flat > 0.0) & ~big
+    if small.any():
+        out[small] = _bessel_series(top, flat[small])
+    if big.any():
+        out[big] = _bessel_miller(top, flat[big])
+    return out.reshape(x.shape + (top + 1,))
+
+
+def jv(n: int, x):
+    """Bessel function J_n(x) of integer order n, elementwise over x."""
+    x = np.asarray(x, dtype=float)
+    value = bessel_table(abs(n), np.abs(x))[..., abs(n)]
+    # J_-n = (-1)^n J_n and J_n(-x) = (-1)^n J_n(x)
+    return np.where((n < 0) != (x < 0), -value, value) if n % 2 else value
 
 
 @dataclass(frozen=True)

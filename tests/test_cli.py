@@ -762,6 +762,23 @@ def test_units_command_text_and_json(tmp_path, capsys):
     assert record["L_cm"] == pytest.approx(10.0)
 
 
+def test_shipped_configs_run_without_scipy(tmp_path):
+    # None in sys.modules makes every scipy import raise ImportError
+    code = ("import sys; sys.modules['scipy'] = None\n"
+            "from fluxlattice import run_scenario\n"
+            "codes = [run_scenario(p, out_dir=sys.argv[1], quiet=True).exit_code "
+            "for p in sys.argv[2:]]\n"
+            "print(codes, sorted(m for m, mod in sys.modules.items() "
+            "if m.split('.')[0] == 'scipy' and mod is not None))")
+    paths = sorted(str(p) for p in CONFIGS.glob("*.ini") if p.name != "sweep_gamma.ini")
+    src = str(Path(fluxlattice.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path), *paths],
+                         env=env, check=True, capture_output=True, text=True).stdout
+    assert out.strip() == f"{[0] * len(paths)} []"
+
+
 def test_import_leaves_heavy_scipy_modules_unloaded():
     code = ("import sys, fluxlattice; print(' '.join(m for m in "
             "('scipy.signal', 'scipy.integrate', 'scipy.stats') if m in sys.modules))")

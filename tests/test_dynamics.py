@@ -24,7 +24,7 @@ from fluxlattice import (
 )
 from fluxlattice import dynamics
 from fluxlattice.core import beta_site
-from fluxlattice.dynamics import _neighbor_matrix
+from fluxlattice.dynamics import _Hop, _neighbor_matrix
 
 PI = math.pi
 TWO_PI = 2.0 * PI
@@ -66,6 +66,23 @@ def test_neighbor_matrix_matches_dense_reference():
 def test_neighbor_matrix_single_site_is_empty():
     H = _neighbor_matrix(LatticeWindow(0, 0, 0, 0), -1.0, -1.0)
     assert H.nnz == 0
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 6), (6, 1), (3, 4), (31, 31)])
+def test_hop_matches_neighbor_matrix(shape):
+    w = LatticeWindow(0, shape[0] - 1, 0, shape[1] - 1)
+    rng = np.random.default_rng(11)
+    up_x = -0.7 + 0.2j
+    up_y = -0.4 * np.exp(1j * rng.uniform(0.0, TWO_PI, shape[0])) * (1.0 - 0.5j)
+    H = _neighbor_matrix(w, up_x, up_y)
+    hop = _Hop(w, up_x, up_y)
+    v1, v2 = (rng.normal(size=H.shape[0]) + 1j * rng.normal(size=H.shape[0])
+              for _ in range(2))
+    first = hop(v1).copy()
+    np.testing.assert_allclose(first, H @ v1, rtol=0, atol=1e-15)
+    # two calls in a row reuse hop's buffers; each answer is still its own
+    np.testing.assert_allclose(hop(v2), H @ v2, rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(hop(v1), first)
 
 
 # -- single-site and two-site analytic checks -----------------------------------
@@ -224,8 +241,8 @@ def test_kick_phase_pattern_no_hopping():
 
 
 def test_kick_engine_against_dense_reference():
-    # independent reference: exact eigendecomposition propagation between
-    # kicks, kick times and signs recomputed from first principles per site
+    # 3 x 3 window against the dense per-site reference (kick times and signs
+    # recomputed from first principles per site, exact propagation between)
     w = LatticeWindow.centered(1)
     J_x, J_y = 0.7, 0.4
     d = DriveSpec.resonant(omega=7.3, Gamma=0.9, M=1, sigma=PI / 2, rho=PI / 3,
@@ -235,22 +252,6 @@ def test_kick_engine_against_dense_reference():
     amps /= np.linalg.norm(amps)
     c0 = WaveField(w, amps)
     opts = IntegratorOptions(norm_drift_tol=1e-12)
-
-    # dense reference
-    H = np.zeros((9, 9), dtype=complex)
-    sites = [(n, m) for n in (-1, 0, 1) for m in (-1, 0, 1)]
-    index = {s: i for i, s in enumerate(sites)}
-    for (n, m), i in index.items():
-        H[i, i] = d.beta0 + d.F * m
-        for dn, dm, J in ((1, 0, J_x), (0, 1, J_y)):
-            j = index.get((n + dn, m + dm))
-            if j is not None:
-                H[i, j] -= J
-                H[j, i] -= J
-    evals, vecs = np.linalg.eigh(H)
-
-    def propagate(psi, dt):
-        return vecs @ (np.exp(-1j * evals * dt) * (vecs.conj().T @ psi))
 
     # the phi = 0 sites kick at t = l pi/omega, the phi = pi/3 sites at
     # t = (l - 1/3) pi/omega: samples on kick times pin right-continuity,
@@ -264,27 +265,8 @@ def test_kick_engine_against_dense_reference():
     ]
     for ts, t_start in cases:
         traj = evolve_full(c0, d, J_x, J_y, ts, opts, t_start=t_start)
-        events = []  # (t, site index, kick sign)
-        for (n, m), i in index.items():
-            phi = n * d.sigma + m * d.rho
-            l_lo = math.ceil((t_start - 1e-9) * d.omega / PI + phi / PI)
-            l_hi = math.floor(ts[-1] * d.omega / PI + phi / PI + 1e-9)
-            for l in range(l_lo, l_hi + 1):
-                events.append(((l * PI - phi) / d.omega, i, (-1.0) ** l))
-        events.sort(key=lambda e: e[0])
-        psi = amps.ravel().astype(complex)
-        t_cur, k = t_start, 0
-        for si, t_target in enumerate(ts):
-            while k < len(events) and events[k][0] <= t_target + 1e-9:
-                te, i, sgn = events[k]
-                psi = propagate(psi, max(te - t_cur, 0.0))
-                t_cur = max(t_cur, te)
-                psi[i] *= np.exp(-1j * d.Gamma * sgn)
-                k += 1
-            psi = propagate(psi, t_target - t_cur)
-            t_cur = t_target
-            np.testing.assert_allclose(traj.amplitudes[si].ravel(), psi,
-                                       atol=1e-7)
+        ref = _dense_kick_reference(d, w, J_x, J_y, amps, ts, t_start)
+        np.testing.assert_allclose(traj.amplitudes, ref, rtol=0, atol=1e-11)
 
 
 def _dense_kick_reference(d, w, J_x, J_y, amps, ts, t_start):

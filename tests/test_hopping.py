@@ -27,6 +27,7 @@ from fluxlattice import (
     kappa_y_quadrature,
     smoothed_delta_train,
 )
+from fluxlattice.hopping import bessel_table, jv
 
 PI = math.pi
 
@@ -196,3 +197,37 @@ def test_hoppings_carry_drive_geometry():
     assert h.alpha == pytest.approx(-1.0 / 50.0)
     assert h.flux_angle == pytest.approx(-PI / 25)
     assert h.M == 1 and h.sigma == d.sigma and h.rho == d.rho
+
+
+# series (x < 1e-3), Miller without and with rescaling, and the region x > n
+BESSEL_X = np.array([0.0, 1e-12, 1e-7, 2e-6, 1e-3, 0.1, 1.0, 4.0, 25.0, 60.0])
+
+
+def test_bessel_table_and_jv_match_scipy():
+    from scipy.special import jv as scipy_jv
+
+    n = np.arange(151)
+    ref = scipy_jv(n, BESSEL_X[:, None])
+    # absolute bound up to x = 25 only.  At x = 25 scipy's own J_20, J_25
+    # and J_26 lie 1.2e-16 to 2.6e-16 from their 40-digit values, and
+    # bessel_table's within 8e-17, so the bound there is 4e-16
+    atol = np.select([BESSEL_X < 25.0, BESSEL_X == 25.0], [2e-16, 4e-16], np.inf)[:, None]
+    large = np.abs(ref) > 1e-280
+    signs_n = np.array([-7, -6, -1, 0, 1, 6, 7])
+    signs_x = np.array([-25.0, -4.0, -0.1, -1e-7, 0.0, 1e-7, 0.1, 4.0, 25.0])
+    # a RuntimeWarning from the recurrence would land in every run's meta.json
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tables = [np.array([bessel_table(150, x) for x in BESSEL_X]),
+                  bessel_table(150, BESSEL_X)]
+        signed = np.array([jv(int(n), signs_x) for n in signs_n])
+    for table in tables:
+        assert table.shape == ref.shape
+        err = np.abs(table - ref)
+        assert np.all(err <= atol)
+        assert np.all(err[large] <= 1e-12 * np.abs(ref[large]))
+    np.testing.assert_allclose(signed, scipy_jv(signs_n[:, None], signs_x),
+                               rtol=1e-12, atol=2e-16)
+    assert jv(3, -2.0) == -jv(3, 2.0) == jv(-3, 2.0) == -jv(-3, -2.0)
+    with pytest.raises(ValueError, match="x >= 0"):
+        bessel_table(3, [-1.0])
