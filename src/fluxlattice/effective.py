@@ -33,7 +33,7 @@ from .dynamics import (
     _rk4_span,
     _sample_norms,
 )
-from .hopping import EffectiveHoppings, bessel_table
+from .hopping import EffectiveHoppings, _tail_order, bessel_table
 
 __all__ = [
     "effective_matrix",
@@ -64,16 +64,14 @@ def effective_matrix(window: LatticeWindow, hoppings: EffectiveHoppings):
 def _chebyshev_block(hop2: _Hop, psi: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
     """out[i] = exp(-i x_i Hs) psi = sum_k (2 - delta_k0) (-i)^k J_k(x_i) T_k(Hs) psi.
 
-    hop2 applies 2 Hs.  All rows run to the last term some row needs
-    (>= 1e-16).  The T_k(Hs) psi pass through a _CHEBYSHEV_CHUNK-row
+    hop2 applies 2 Hs.  The series is sized by the Bessel tail bound: it
+    stops before _tail_order(max x), past which the coefficients of every row
+    sum to below 4e-17.  The T_k(Hs) psi pass through a _CHEBYSHEV_CHUNK-row
     buffer, flushed into out when full.
     """
-    top = float(np.max(x))
-    k = np.arange(int(top + 10.0 * top ** (1.0 / 3.0) + 30.0))
-    c = np.where(k == 0, 1.0, 2.0) * (-1j) ** (k % 4) * bessel_table(k[-1], x)
-    if not np.all(np.abs(c[:, -1]) < 1e-16):
-        raise AssertionError(f"Chebyshev series at x = {top:.6g} not converged")
-    terms = max(2, np.flatnonzero(np.any(np.abs(c) >= 1e-16, axis=0))[-1] + 1)
+    terms = _tail_order(float(np.max(x)))
+    k = np.arange(terms)
+    c = np.where(k == 0, 1.0, 2.0) * (-1j) ** (k % 4) * bessel_table(terms - 1, x)
     buf = np.empty((min(_CHEBYSHEV_CHUNK, terms), psi.size), dtype=complex)
     for k in range(terms):
         j = k % len(buf)
@@ -183,11 +181,11 @@ def expectation_kinematics(field: WaveField, hoppings: EffectiveHoppings) -> Kin
     Reported momenta are the arcsin branch in [-pi/2, pi/2].
     """
     f = field.amplitudes
-    norm = float(np.sum(np.abs(f) ** 2))
+    weight = np.abs(f) ** 2
+    norm = float(weight.sum())
     if norm <= 0.0:
         raise ValueError("zero-norm field")
     w = field.window
-    weight = np.abs(f) ** 2
     n_mean = float(np.sum(w.n_grid * weight)) / norm
     m_mean = float(np.sum(w.m_grid * weight)) / norm
     cx = complex(np.sum(np.conj(f[:-1, :]) * f[1:, :])) / norm

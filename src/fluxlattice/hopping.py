@@ -15,7 +15,9 @@ Two independent routes are provided on purpose: direct numerical
 quadrature, which works for any waveform, and closed-form expressions for
 the sinusoidal and delta-kick drives.  Keeping both lets each validate the
 other; do not fold them together.  The Bessel functions of the sinusoidal
-closed form come from bessel_table, Miller's backward recurrence.
+closed form come from bessel_table, Miller's backward recurrence.  _tail_order
+holds the one tail bound |J_v(x)| <= (x/2)^v / v!: it starts that recurrence
+and sizes the effective model's Chebyshev series.
 """
 
 from __future__ import annotations
@@ -43,20 +45,23 @@ _MILLER_START = 1e-280  # Miller's recurrence starts here, rescales past 1e300
 _LOG_MAX = math.log(1e300)
 
 
-def _start_order(top: int, x: float) -> int:
-    """Even start order of Miller's recurrence for J_0..J_top at arguments <= x.
+def _tail_order(x: float, start: int = 0, drop: float = 0.0) -> int:
+    """First order v >= max(start, x) at which (x/2)^v / v!, the bound on J_v(x),
+    is <= 1e-17 and, when start >= x, at least e^-drop below its value at start.
 
-    Steps past max(top, x) until the bound (x/2)^v / v! on J_v(x) is below
-    1e-17, as the normalisation sum needs, and, when top >= x, e^-25 below
-    its value at top, so that J_top keeps 1e-13 relative accuracy.
+    Past x the bound falls by more than half per order, so J_v and all later
+    orders sum to below 2e-17, at x and at every smaller argument.  At x = 0
+    only J_0 is nonzero.
     """
-    v = max(top, math.ceil(x))
+    v = max(start, math.ceil(x))
+    if x == 0.0:
+        return max(v, 1)
     log_b = v * math.log(0.5 * x) - math.lgamma(v + 1.0)
-    target = min(math.log(1e-17), log_b - 25.0 if v == top else 0.0)
+    target = min(math.log(1e-17), log_b - drop if v == start else 0.0)
     while log_b > target:
         v += 1
         log_b += math.log(0.5 * x / v)
-    return v + v % 2
+    return v
 
 
 def _bessel_series(top: int, x: np.ndarray) -> np.ndarray:
@@ -76,7 +81,8 @@ def _bessel_miller(top: int, x: np.ndarray) -> np.ndarray:
     = (2/x_min)^N Gamma(N + 1 + x_min/2) / Gamma(1 + x_min/2), so rescaling
     is checked for only when that bound can pass 1e300.
     """
-    N = _start_order(top, float(x.max()))
+    N = _tail_order(float(x.max()), top, 25.0)  # J_top keeps 1e-13 relative
+    N += N % 2
     f = np.zeros((N + 2, x.size))
     f[N] = _MILLER_START
     rows, ratio = list(f), list((2.0 * np.arange(N + 1))[:, None] / x)
@@ -151,24 +157,19 @@ class EffectiveHoppings:
 def _delta_average(Gamma: float, shift: float, M: int) -> complex:
     """Exact period average for the delta-kick train.
 
-    G, the right-continuous square wave, is piecewise constant, so the
-    integrand is a product of a constant phase and exp(-iMx) on each of at
-    most four segments; integrate each segment analytically.
+    G, the square wave 1 where x mod 2 pi < pi and 0 elsewhere, is constant
+    between kicks, so the integrand is a constant phase times exp(-iMx) on
+    each of at most four segments.  G is read at each segment's midpoint,
+    off every kick however narrow the segment, and exp(-iMx) integrated.
     """
-    G = Waveform.delta_kicks().antiderivative
     a = (-shift) % math.pi
     pts = sorted({0.0, a, math.pi, a + math.pi, TWO_PI})
     total = 0.0 + 0.0j
     for u, v in zip(pts[:-1], pts[1:]):
-        if v <= u:
-            continue
         xm = 0.5 * (u + v)
-        w = cmath.exp(1j * Gamma * (G(xm) - G(xm + shift)))
-        if M == 0:
-            seg = v - u
-        else:
-            seg = (cmath.exp(-1j * M * u) - cmath.exp(-1j * M * v)) / (1j * M)
-        total += w * seg
+        jump = (xm % TWO_PI < math.pi) - ((xm + shift) % TWO_PI < math.pi)
+        seg = v - u if M == 0 else (cmath.exp(-1j * M * u) - cmath.exp(-1j * M * v)) / (1j * M)
+        total += cmath.exp(1j * Gamma * jump) * seg
     return total / TWO_PI
 
 

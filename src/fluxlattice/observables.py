@@ -45,7 +45,8 @@ class FringeRecord:
 
 def vertical_profile(traj: Trajectory) -> FringeRecord:
     """Column-integrated intensities I_n(t) = sum_m |c[n,m]|^2 per sample."""
-    profiles = np.sum(np.abs(traj.amplitudes) ** 2, axis=2)
+    # one sample at a time: no trajectory-sized temporaries
+    profiles = np.array([np.sum(np.abs(f) ** 2, axis=1) for f in traj.amplitudes])
     return FringeRecord(times=np.asarray(traj.times, dtype=float),
                         profiles=profiles,
                         n_values=traj.window.n_values.copy())

@@ -104,22 +104,18 @@ class BandSet:
 
 def _chambers_eigenvalues(kappa_x_abs: float, kappa_y_abs: float,
                           flux: RationalFlux) -> np.ndarray:
-    """Bloch eigenvalues, shape (4, q) and ascending, at kx', ky' in {0, pi/q}."""
+    """Bloch eigenvalues, shape (4, q) and ascending, at kx', ky' in {0, pi/q}.
+
+    The Bloch matrix is H = D + h S + h* S^T, with D the real on-site
+    diagonal at ky', h = -|kappa_x| e^{i kx'} and S the q x q cyclic shift
+    (S[j, j+1 mod q] = 1).  D and h S + (h S)^dagger are each hermitian, so H is.
+    """
     q = flux.q
-    alpha = flux.p / flux.q
     k = np.array([0.0, math.pi / q])
-    n = np.arange(q)
-    diag = -2.0 * kappa_y_abs * np.cos(k[:, None] + TWO_PI * alpha * n[None, :])
-    H = np.zeros((2, 2, q, q), dtype=complex)  # (kx', ky', q, q)
-    H[:, :, n, n] = diag[None, :, :]
-    hop = -kappa_x_abs * np.exp(1j * k)
-    for j in range(q):
-        H[:, :, j, (j + 1) % q] += hop[:, None]
-        H[:, :, (j + 1) % q, j] += np.conj(hop)[:, None]
-    herm_defect = float(np.max(np.abs(H - np.conj(np.swapaxes(H, -1, -2)))))
-    scale = max(kappa_x_abs, kappa_y_abs, 1e-300)
-    if herm_defect > 1e-12 * scale:
-        raise AssertionError(f"Bloch matrix not hermitian: defect {herm_defect:.3e}")
+    diag = -2.0 * kappa_y_abs * np.cos(k[:, None] + TWO_PI * flux.alpha * np.arange(q))
+    S = np.roll(np.eye(q), 1, axis=1)
+    hop = (-kappa_x_abs * np.exp(1j * k))[:, None, None, None]
+    H = diag[:, :, None] * np.eye(q) + hop * S + np.conj(hop) * S.T  # (kx', ky', q, q)
     return np.linalg.eigvalsh(H).reshape(4, q)
 
 

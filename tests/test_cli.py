@@ -542,6 +542,16 @@ norm_drift_tol = 1e-8
 """
 
 
+def test_stroboscopic_run_shorter_than_one_period(tmp_path):
+    # t_max below the period 2 pi / 8 leaves the lone sample t = 0
+    ini = EFFECTIVE_INI.replace("dt_sample = 0.2", "stroboscopic = true")
+    cfg = _write(tmp_path, "eff.ini", ini.replace("t_max = 0.4", "t_max = 0.1"))
+    assert main(["validate", str(cfg)]) == 0
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path), "--quiet"]) == 0
+    _, rows = _read_csv(tmp_path / "eff_kinematics.csv")
+    assert [float(r[0]) for r in rows] == [0.0]
+
+
 @pytest.mark.parametrize("line, bad", [
     ("t_max = 0.4", "t_max = inf"),
     ("dt_max = 0.01", "dt_max = nan"),

@@ -24,6 +24,8 @@ from fluxlattice import (
     hoppings_from_drive,
     semiclassical_evolve,
 )
+from fluxlattice import effective as effective_module
+from fluxlattice.hopping import _tail_order, bessel_table
 from fluxlattice.observables import com_path
 
 PI = math.pi
@@ -77,7 +79,7 @@ def _expm_reference(field, h, ts, t_start=0.0):
 
 @pytest.mark.parametrize("case", ["dense", "stroboscopic", "t_start",
                                   "zero_hoppings", "long_span", "many_blocks",
-                                  "irregular", "near_t_start"])
+                                  "irregular", "near_t_start", "lone_t_start"])
 def test_propagator_matches_expm_multiply(rng, case):
     h = _fig_hoppings()
     w = LatticeWindow.centered(12, 10)
@@ -106,13 +108,38 @@ def test_propagator_matches_expm_multiply(rng, case):
     elif case == "near_t_start":
         # a first sample 5e-13 before t_start is the input itself
         ts, t_start = np.array([0.7 - 5e-13, 0.9, 3.0]), 0.7
+    elif case == "lone_t_start":
+        # the only sample is t_start: one block whose series argument is 0
+        ts, t_start = np.array([0.7]), 0.7
     field = _random_field(rng, w)
     traj = evolve_effective(field, h, ts, t_start=t_start)
     ref = _expm_reference(field, h, ts, t_start)
     err = np.max(np.abs(traj.amplitudes.reshape(len(ts), -1) - ref))
     assert err <= 1e-12
-    if case in ("t_start", "near_t_start"):
+    if case in ("t_start", "near_t_start", "lone_t_start"):
         np.testing.assert_array_equal(traj.amplitudes[0], field.amplitudes)
+
+
+def test_chebyshev_series_is_sized_by_the_bessel_bound(rng, monkeypatch):
+    # blocks with x <= 0.737 need J_0..J_13: the bound (x/2)^k / k! first
+    # falls below 1e-17 at k = 14
+    asked = []
+
+    def spy(top, x):
+        asked.append((top, np.array(x)))
+        return bessel_table(top, x)
+
+    monkeypatch.setattr(effective_module, "bessel_table", spy)
+    h = _fig_hoppings()
+    R = 2.0 * (abs(h.kappa_x) + abs(h.kappa_y))
+    field = _random_field(rng, LatticeWindow.centered(5))
+    evolve_effective(field, h, np.linspace(0.0, 0.73 / R, 6))
+    assert asked
+    for top, x in asked:
+        assert np.max(x) <= 0.737 and top + 1 == _tail_order(float(np.max(x))) <= 14
+        # every coefficient (2 - delta_k0) J_k(x) left out is below 1e-16
+        dropped = 2.0 * np.abs(jv(np.arange(top + 1, 60)[:, None], x))
+        assert np.all(dropped < 1e-16)
 
 
 def test_dt_max_does_not_steer_effective_runs(rng):

@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from fluxlattice import (
     DriveSpec,
@@ -95,6 +95,9 @@ def test_sinusoidal_routes_agree(Gamma, sigma, rho, M):
 @given(Gamma=st.floats(0.0, 3.0), sigma=st.floats(-PI, PI),
        rho_mag=st.floats(1e-3, PI), rho_sign=st.sampled_from([-1.0, 1.0]),
        M=st.integers(1, 4))
+# sigma = +-1e-9: the segment between the two kicks is 1e-9 wide
+@example(Gamma=1.0, sigma=1e-9, rho_mag=1.0, rho_sign=-1.0, M=1)
+@example(Gamma=1.0, sigma=-1e-9, rho_mag=1.0, rho_sign=-1.0, M=1)
 def test_delta_routes_agree(Gamma, sigma, rho_mag, rho_sign, M):
     wf = Waveform.delta_kicks()
     rho = rho_sign * rho_mag
@@ -103,6 +106,19 @@ def test_delta_routes_agree(Gamma, sigma, rho_mag, rho_sign, M):
     ky = kappa_y_quadrature(1.0, Gamma, rho, M, wf)
     assert abs(kx - closed.kappa_x) <= 1e-10
     assert abs(ky - closed.kappa_y) <= 1e-10
+
+
+@pytest.mark.parametrize("shift", [1e-9, -1e-9, 3e-10, -3e-10])
+def test_delta_average_resolves_narrow_segments(shift):
+    # a segment between two nearly coincident kicks is still read on the
+    # right branch of the square wave, so the routes agree to rounding
+    wf = Waveform.delta_kicks()
+    for Gamma in (1.0, 2.5):
+        for M in (1, 2, 3):
+            kx = kappa_x_quadrature(1.0, Gamma, shift, wf)
+            ky = kappa_y_quadrature(1.0, Gamma, shift, M, wf)
+            assert abs(kx - kappa_closed_delta(1.0, 1.0, Gamma, shift, 1.0, M).kappa_x) <= 1e-15
+            assert abs(ky - kappa_closed_delta(1.0, 1.0, Gamma, 0.1, shift, M).kappa_y) <= 1e-15
 
 
 @given(Gamma=st.floats(0.0, 3.0), shift=st.floats(-PI, PI), M=st.integers(0, 3))
