@@ -21,17 +21,18 @@ bounds apply to a user-set dt_max too.  0.1 rad per step errs by < 1e-8
 against an 8x finer step and drifts by < 0.2 of the budget for omega 2-40
 (0.2 rad exceeds it on fig1b).  The norm-drift bound keeps the drift of
 explicit RK4 below norm_drift_tol * J * (t - t_start); drift is budgeted,
-not corrected, and every trajectory records its sampled norms (|f| = |c|)
-so the budget can be audited after the fact.
+not corrected, and every trajectory records the norms of the samples it
+returns so the budget can be audited after the fact.
 
 The delta-kick train takes no step.  Between kicks beta = beta0 + F m is
 static, so U = U_x (x) U_y is exact from one eigh of each chain, the Nm
 one tilted (the Wannier-Stark propagator; Hartmann, Keck, Korsch &
 Mossmann, New J. Phys. 6, 2 (2004)).  f is continuous across the kicks,
-which live in the square wave G of theta: a span leaves f with G's
-post-kick branch at its start and returns with the pre-kick branch at its
-end.  Inputs are mapped in with the pre-kick branch at t_start, so a kick
-there acts once, and samples are mapped back with the post-kick branch.
+which live in the square wave G of theta: a span from one sample to the
+next stops at each kick between them, leaving f with G's post-kick branch
+and returning with the pre-kick one.  Inputs are mapped in with the
+pre-kick branch at t_start, so a kick there acts once, and each sample is
+mapped back with the post-kick branch as it is stored.
 """
 
 from __future__ import annotations
@@ -248,8 +249,13 @@ def _kick_times(drive: DriveSpec, window: LatticeWindow, t0: float,
 
 
 def _split_span(drive: DriveSpec, window: LatticeWindow, J_x: float,
-                J_y: float, theta: _GaugePhase):
-    """span(f, t_a, t_b): exact gauge-frame propagation between kicks."""
+                J_y: float, theta: _GaugePhase, kicks: np.ndarray):
+    """span(f, t_a, t_b): exact gauge-frame propagation across the kick train.
+
+    The span stops at each of the kicks strictly inside (t_a, t_b), a kick
+    within 1e-9 of either end coinciding with that end; each piece between
+    kicks is U_x (x) U_y in the frame of G's branches at its ends.
+    """
     Nn, Nm = window.shape
     lx, vx = np.linalg.eigh(-J_x * (np.eye(Nn, k=1) + np.eye(Nn, k=-1)))
     ly, vy = np.linalg.eigh(np.diag(drive.beta0 + drive.F * window.m_values)
@@ -257,26 +263,24 @@ def _split_span(drive: DriveSpec, window: LatticeWindow, J_x: float,
     lam = lx[:, None] + ly[None, :]
 
     def span(f, t_a, t_b):
-        c = (f * _unit_phase(-theta(t_a, "right"))).reshape(Nn, Nm)
-        c = vx @ ((vx.T @ c @ vy) * np.exp(-1j * (t_b - t_a) * lam)) @ vy.T
-        return c.ravel() * _unit_phase(theta(t_b, "left"))
+        for t_k in [*kicks[(kicks > t_a + 1e-9) & (kicks < t_b - 1e-9)], t_b]:
+            c = (f * _unit_phase(-theta(t_a, "right"))).reshape(Nn, Nm)
+            c = vx @ ((vx.T @ c @ vy) * np.exp(-1j * (t_k - t_a) * lam)) @ vy.T
+            f, t_a = c.ravel() * _unit_phase(theta(t_k, "left")), t_k
+        return f
     return span
 
 
-def _sample_norms(amps, window):
-    """Norm of each sample and the largest share of one on the edge ring."""
+def _finish_trajectory(window, t_samples, amps, opts, J_ref, t_start) -> Trajectory:
+    """Trajectory of the returned samples, with the norm and edge-ring audit of each."""
     flat = amps.reshape(len(amps), -1)
     ring = np.ones(window.shape, dtype=bool)
     ring[1:-1, 1:-1] = False
     edge = np.flatnonzero(ring)
     norms = np.array([np.vdot(v, v).real for v in flat])
-    shares = [float(np.sum(np.abs(v[edge]) ** 2)) / norm
-              for v, norm in zip(flat, norms) if norm > 0.0]
-    return norms, max(shares, default=0.0)
-
-
-def _finish_trajectory(window, t_samples, amps, norms, edge_mass_max, opts,
-                       J_ref, t_start) -> Trajectory:
+    edge_mass_max = max((float(np.sum(np.abs(v[edge]) ** 2)) / norm
+                         for v, norm in zip(flat, norms) if norm > 0.0),
+                        default=0.0)
     span = float(t_samples[-1]) - t_start
     budget = opts.norm_drift_tol * J_ref * max(span, 1e-30)
     drift = float(np.max(np.abs(norms - norms[0]))) if len(norms) > 1 else 0.0
@@ -312,12 +316,14 @@ def evolve_full(initial: WaveField, drive: DriveSpec, J_x: float, J_y: float,
     i dc/dt = -Jx (c[n+1,m] + c[n-1,m]) - Jy (c[n,m+1] + c[n,m-1])
               + beta[n,m](t) c[n,m]
 
-    Both paths work in the gauge frame (module docstring): RK4 for smooth
-    drives, at a step min(dt_max, 0.1 / nu, norm-drift bound) independent
-    of the window, and exact spans between kicks for the delta-kick train,
-    which ignores dt_max.  The input is mapped in with the pre-kick branch,
-    so a kick at t = t_start acts once, and samples are mapped back with
-    the post-kick branch.  t_start (default 0) may precede the first sample.
+    Both paths work in the gauge frame (module docstring) and take one span
+    per sample: RK4 for smooth drives, at a step min(dt_max, 0.1 / nu,
+    norm-drift bound) independent of the window, and for the delta-kick
+    train an exact span that crosses the kicks between its ends and ignores
+    dt_max.  The input is mapped in with the pre-kick branch, so a kick at
+    t = t_start acts once; each sample is mapped back with the post-kick
+    branch as it is stored, and Trajectory.norms are the norms of these
+    returned samples.  t_start (default 0) may precede the first sample.
     """
     opts = opts or IntegratorOptions()
     window = initial.window
@@ -326,10 +332,9 @@ def evolve_full(initial: WaveField, drive: DriveSpec, J_x: float, J_y: float,
     f = (initial.amplitudes * np.exp(1j * theta(t_start, "left"))).ravel()
 
     if drive.waveform.kind is WaveformKind.DELTA_KICKS:
-        stops = _kick_times(drive, window, t_start, float(t[-1]))
-        span = _split_span(drive, window, J_x, J_y, theta)
+        span = _split_span(drive, window, J_x, J_y, theta,
+                           _kick_times(drive, window, t_start, float(t[-1])))
     else:
-        stops = np.empty(0)
         h = _step_size(drive, J_x, J_y, opts)
         hop = _Hop(window, -J_x, -J_y, scale=-1j)
         cache = {}
@@ -345,19 +350,14 @@ def evolve_full(initial: WaveField, drive: DriveSpec, J_x: float, J_y: float,
         def span(v, t_a, t_b):
             return _rk4_span(v, t_a, t_b, h, rhs)
 
-    # no span crosses a kick; one within 1e-9 of either end coincides with
-    # it, and a sample at or before the current time repeats the state
+    # a sample at or before the current time repeats the state
     amps = np.empty((t.size,) + window.shape, dtype=complex)
     t_cur = t_start
     for i, ts in enumerate(t):
-        for t_b in [*stops[(stops > t_cur + 1e-9) & (stops < ts - 1e-9)], ts]:
-            if t_b > t_cur:
-                f, t_cur = span(f, t_cur, t_b), t_b
-        amps[i] = f.reshape(window.shape)
-    norms, edge_max = _sample_norms(amps, window)
-    for i, ts in enumerate(t):
-        amps[i] *= np.exp(-1j * theta(float(ts), "right"))
-    return _finish_trajectory(window, t, amps, norms, edge_max, opts,
+        if ts > t_cur:
+            f, t_cur = span(f, t_cur, ts), ts
+        amps[i] = f.reshape(window.shape) * np.exp(-1j * theta(float(ts), "right"))
+    return _finish_trajectory(window, t, amps, opts,
                               max(abs(J_x), abs(J_y)) or 1.0, t_start)
 
 

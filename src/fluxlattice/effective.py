@@ -31,7 +31,6 @@ from .dynamics import (
     _Hop,
     _neighbor_matrix,
     _rk4_span,
-    _sample_norms,
 )
 from .hopping import EffectiveHoppings, _tail_order, bessel_table
 
@@ -114,10 +113,8 @@ def evolve_effective(initial: WaveField, hoppings: EffectiveHoppings, t_samples,
         x = R * np.maximum(t[start:stop] - t_b, 0.0)
         _chebyshev_block(hop2, psi, x, amps[start:stop])
         start, t_b, psi = stop, max(t_b, t[stop - 1]), amps[stop - 1]
-    amps = amps.reshape((t.size,) + window.shape)
-    norms, edge_max = _sample_norms(amps, window)
-    return _finish_trajectory(window, t, amps, norms, edge_max, opts,
-                              max(kx, ky) or 1.0, t_start)
+    return _finish_trajectory(window, t, amps.reshape((t.size,) + window.shape),
+                              opts, max(kx, ky) or 1.0, t_start)
 
 
 def gauge_map(exact: WaveField, t: float, drive: DriveSpec,

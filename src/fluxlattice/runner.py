@@ -93,7 +93,8 @@ def _start(s: Scenario, drive):
 
 
 # -- per-kind handlers --------------------------------------------------------
-# each returns (derived: dict, truncation: bool, tables: {role: (header, table[, fmt])})
+# each returns (derived: dict, tables: {role: (header, table[, fmt])}); an
+# evolution's derived["truncation"] is its window-truncation flag
 
 def _run_hoppings(s: Scenario):
     methods = [s.method]
@@ -120,7 +121,7 @@ def _run_hoppings(s: Scenario):
     header = ["method", "kappa_x_re", "kappa_x_im", "kappa_y_re", "kappa_y_im",
               "kappa_x_abs", "kappa_y_abs", "alpha", "flux_angle"]
     table = np.array(rows, dtype=object)
-    return derived, False, {"hoppings": (header, table, ["%s"] + ["%.12g"] * 8)}
+    return derived, {"hoppings": (header, table, ["%s"] + ["%.12g"] * 8)}
 
 
 def _run_spectrum(s: Scenario):
@@ -130,7 +131,7 @@ def _run_spectrum(s: Scenario):
         derived = {"flux_count": len(s.fluxes), "band_rows": data.shape[0],
                    "ratio": abs(h.kappa_y) / abs(h.kappa_x),
                    "k_grid": s.k_grid}
-        return derived, False, {"butterfly": (["alpha", "E_min", "E_max"], data)}
+        return derived, {"butterfly": (["alpha", "E_min", "E_max"], data)}
     flux, = s.fluxes
     bands = harper_bands(h, flux, s.k_grid)
     rows = [[i, lo, hi, bands.touching[i] if i < len(bands.touching) else False]
@@ -140,8 +141,8 @@ def _run_spectrum(s: Scenario):
                "total_bandwidth": bands.total_bandwidth,
                "touching": bands.touching,
                "kappa_x": h.kappa_x, "kappa_y": h.kappa_y, "k_grid": s.k_grid}
-    return derived, False, {"bands": (["band", "E_min", "E_max", "touching_next"],
-                                      rows, ["%d", "%.12g", "%.12g", "%d"])}
+    return derived, {"bands": (["band", "E_min", "E_max", "touching_next"],
+                               rows, ["%d", "%.12g", "%.12g", "%d"])}
 
 
 def _trajectory_products(s: Scenario, traj: Trajectory):
@@ -186,8 +187,7 @@ def _run_full(s: Scenario):
     drive = s.drive
     times, c0, _ = _start(s, drive)
     traj = evolve_full(c0, drive, s.J_x, s.J_y, times, s.integrator, s.t_start)
-    derived, tables = _trajectory_products(s, traj)
-    return derived, bool(traj.truncation_warning), tables
+    return _trajectory_products(s, traj)
 
 
 def _run_effective(s: Scenario):
@@ -204,7 +204,7 @@ def _run_effective(s: Scenario):
                      k.sin_Pn, k.sin_Pm, k.v_n, k.v_m])
     tables["kinematics"] = (["t", "n_mean", "m_mean", "Pn", "Pm",
                              "sin_Pn", "sin_Pm", "v_n", "v_m"], rows)
-    return derived, bool(traj.truncation_warning), tables
+    return derived, tables
 
 
 def _run_semiclassical(s: Scenario):
@@ -231,8 +231,7 @@ def _run_semiclassical(s: Scenario):
                             np.max(np.abs(inv2 - inv2[0]))],
         "samples": times.size,
     }
-    return derived, False, {"semiclassical": (["t", "n_mean", "m_mean", "Pn", "Pm"],
-                                              rows)}
+    return derived, {"semiclassical": (["t", "n_mean", "m_mean", "Pn", "Pm"], rows)}
 
 
 def _run_compare(s: Scenario):
@@ -254,14 +253,13 @@ def _run_compare(s: Scenario):
     derived = {"omegas": s.omegas, "peak_deviation": peaks,
                "final_deviation": finals, "peak_ratios": ratios,
                "truncation": truncation}
-    return derived, truncation, {"deviation": (["omega", "t", "max_abs", "infidelity"],
-                                               rows)}
+    return derived, {"deviation": (["omega", "t", "max_abs", "infidelity"], rows)}
 
 
 def _run_units(s: Scenario):
     record = dataclasses.asdict(s.units)
     fmt = ["%d" if isinstance(v, int) else "%.12g" for v in record.values()]
-    return record, False, {"units": (list(record), [list(record.values())], fmt)}
+    return record, {"units": (list(record), [list(record.values())], fmt)}
 
 
 _HANDLERS = {
@@ -288,9 +286,9 @@ def run_scenario(source, out_dir=".", strict: bool = False,
     out.mkdir(parents=True, exist_ok=True)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        derived, truncation, tables = _HANDLERS[scenario.kind](scenario)
+        derived, tables = _HANDLERS[scenario.kind](scenario)
     warning_texts = [str(w.message) for w in caught]
-    exit_code = 4 if (strict and truncation) else 0
+    exit_code = 4 if (strict and derived.get("truncation", False)) else 0
     names = {role: f"{scenario.label}_{role}.csv" for role in tables}
     for role, table in tables.items():
         _write_csv(out / names[role], *table)

@@ -381,6 +381,21 @@ def test_truncation_flag_on_saturated_window():
     assert traj.edge_mass_max > 1e-6
 
 
+@pytest.mark.parametrize("run", ["sinusoidal", "delta_kicks", "effective"])
+def test_recorded_norms_are_those_of_the_returned_samples(run):
+    # the audit describes the lab-frame samples the run returns, bit for bit
+    w = LatticeWindow.centered(10)
+    d = _delta() if run == "delta_kicks" else _sinusoidal()
+    c0 = gaussian_input(w, 3.0, drive=d, imprint=True)
+    ts = np.linspace(0.1, 1.0, 10)
+    if run == "effective":
+        traj = evolve_effective(gauge_map(c0, 0.0, d, side="left"),
+                                hoppings_from_drive(d, 1.0, 1.0), ts)
+    else:
+        traj = evolve_full(c0, d, 1.0, 1.0, ts)
+    assert np.array_equal(traj.norms, [np.vdot(a, a).real for a in traj.amplitudes])
+
+
 def test_step_size_underflow_raises():
     w = LatticeWindow(0, 0, 0, 0)
     d = _sinusoidal(omega=1e12, Gamma=1.0)
