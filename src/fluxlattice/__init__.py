@@ -12,130 +12,20 @@ converts normalized parameters to fabrication numbers for bent,
 index-modulated waveguide arrays.
 """
 
+# each module's __all__ is its public surface; the package republishes it
+from . import (config, core, dynamics, effective, hopping, observables,
+               physical, runner, spectrum)
 from ._version import __version__
-from .config import (
-    ConfigError,
-    Scenario,
-    ValidationError,
-    expand_sweep,
-    load_config,
-    parse_real,
-    scenario_from_sections,
-)
-from .core import (
-    TWO_PI,
-    DriveSpec,
-    LatticeWindow,
-    WaveField,
-    Waveform,
-    WaveformKind,
-    beta_site,
-    gauge_phase,
-    phase_offsets,
-    smoothed_delta_train,
-)
-from .dynamics import IntegratorOptions, Trajectory, evolve_full, gaussian_input
-from .effective import (
-    Kinematics,
-    SemiclassicalState,
-    effective_matrix,
-    evolve_effective,
-    expectation_kinematics,
-    gauge_map,
-    gauge_unmap,
-    semiclassical_evolve,
-)
-from .hopping import (
-    EffectiveHoppings,
-    hoppings_from_drive,
-    kappa_closed_delta,
-    kappa_closed_sinusoidal,
-    kappa_x_quadrature,
-    kappa_y_quadrature,
-)
-from .observables import (
-    FringeRecord,
-    ModelDeviation,
-    central_columns,
-    com_path,
-    fringe_visibility,
-    model_deviation,
-    revival_period,
-    vertical_profile,
-    with_visibility,
-)
-from .physical import PhysicalParams, physical_units
-from .runner import RunResult, run_scenario
-from .spectrum import (
-    BandSet,
-    RationalFlux,
-    band_count,
-    butterfly,
-    farey_fluxes,
-    harper_bands,
-)
+from .config import *
+from .core import *
+from .dynamics import *
+from .effective import *
+from .hopping import *
+from .observables import *
+from .physical import *
+from .runner import *
+from .spectrum import *
 
-__all__ = [
-    "__version__",
-    # core model
-    "TWO_PI",
-    "LatticeWindow",
-    "WaveformKind",
-    "Waveform",
-    "smoothed_delta_train",
-    "DriveSpec",
-    "WaveField",
-    "phase_offsets",
-    "beta_site",
-    "gauge_phase",
-    # integration
-    "IntegratorOptions",
-    "Trajectory",
-    "evolve_full",
-    "gaussian_input",
-    # effective model
-    "EffectiveHoppings",
-    "kappa_x_quadrature",
-    "kappa_y_quadrature",
-    "kappa_closed_sinusoidal",
-    "kappa_closed_delta",
-    "hoppings_from_drive",
-    "effective_matrix",
-    "evolve_effective",
-    "gauge_map",
-    "gauge_unmap",
-    "SemiclassicalState",
-    "Kinematics",
-    "expectation_kinematics",
-    "semiclassical_evolve",
-    # spectrum
-    "RationalFlux",
-    "farey_fluxes",
-    "BandSet",
-    "harper_bands",
-    "band_count",
-    "butterfly",
-    # observables
-    "FringeRecord",
-    "vertical_profile",
-    "central_columns",
-    "fringe_visibility",
-    "with_visibility",
-    "revival_period",
-    "com_path",
-    "ModelDeviation",
-    "model_deviation",
-    # physical units
-    "PhysicalParams",
-    "physical_units",
-    # configs and execution
-    "ConfigError",
-    "ValidationError",
-    "Scenario",
-    "parse_real",
-    "load_config",
-    "scenario_from_sections",
-    "expand_sweep",
-    "RunResult",
-    "run_scenario",
-]
+__all__ = ["__version__", *config.__all__, *core.__all__, *dynamics.__all__,
+           *effective.__all__, *hopping.__all__, *observables.__all__,
+           *physical.__all__, *runner.__all__, *spectrum.__all__]

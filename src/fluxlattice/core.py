@@ -35,6 +35,7 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 
 __all__ = [
+    "TWO_PI",
     "LatticeWindow",
     "WaveformKind",
     "Waveform",
@@ -271,8 +272,9 @@ class DriveSpec:
     waveform: Waveform
 
     def __post_init__(self):
-        if self.omega <= 0.0:
-            raise ValueError("omega must be positive")
+        if not (0.0 < self.omega < math.inf and TWO_PI / self.omega < math.inf):
+            raise ValueError(f"omega = {self.omega!r} must be positive and finite, "
+                             "with a finite period 2 pi / omega")
         if isinstance(self.M, bool) or not isinstance(self.M, (int, np.integer)):
             raise ValueError("M must be an integer")
         if abs(self.sigma) > math.pi + 1e-12:

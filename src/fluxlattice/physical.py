@@ -40,10 +40,11 @@ class PhysicalParams:
         positive = (self.d_m, self.lambda_m, self.n_s, self.J_per_cm,
                     self.omega_per_cm, self.F_per_cm, self.R_cm,
                     self.Lambda_mod_mm, self.L_cm)
-        if any(v <= 0.0 for v in positive):
-            raise ValueError("physical parameters must be positive")
-        if self.A_per_cm < 0.0 or self.delta_n < 0.0 or self.Gamma < 0.0:
-            raise ValueError("modulation strength cannot be negative")
+        if not all(0.0 < v < math.inf for v in positive):
+            raise ValueError("physical parameters must be positive and finite")
+        strength = (self.A_per_cm, self.delta_n, self.Gamma)
+        if not all(0.0 <= v < math.inf for v in strength):
+            raise ValueError("modulation strength must be finite and not negative")
 
 
 def physical_units(J_per_cm: float, Gamma: float, omega_over_J: float, M: int,
@@ -68,6 +69,8 @@ def physical_units(J_per_cm: float, Gamma: float, omega_over_J: float, M: int,
         raise ValueError("Gamma must be finite and not negative")
     omega = omega_over_J * J_per_cm
     F = M * omega
+    if not 0.0 < F < math.inf:  # omega_over_J * J under- or overflowed
+        raise ValueError(f"gradient F = {F!r} per cm must be positive and finite")
     R_cm = TWO_PI * n_s * (d_m / lambda_m) / F
     Lambda_mm = (TWO_PI / omega) * 10.0       # cm -> mm
     A = Gamma * omega

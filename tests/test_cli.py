@@ -589,6 +589,34 @@ def test_units_command_rejects_non_finite(capsys):
         assert "finite" in capsys.readouterr().err
 
 
+def test_degenerate_derived_units_fail_validation(tmp_path, capsys):
+    # omega = omega_over_J * J underflows to 0 (F = 0 would divide by zero),
+    # or a subnormal J sends R, Lambda and L to inf
+    argv = ["units", "--Gamma", "0.7", "--d", "19e-6", "--wavelength", "633e-9",
+            "--n-s", "1.45"]
+    for J, ratio in (("1e-200", "1e-200"), ("1e-310", "8")):
+        for extra in ([], ["--json"]):
+            assert main(argv + ["--J", J, "--omega-over-J", ratio] + extra) == 3
+            err = capsys.readouterr().err
+            assert "positive" in err and "finite" in err
+    ini = ((CONFIGS / "units.ini").read_text()
+           .replace("J_per_cm = 1\n", "J_per_cm = 1e-200\n")
+           .replace("omega_over_J = 8", "omega_over_J = 1e-200"))
+    assert main(["validate", str(_write(tmp_path, "u.ini", ini))]) == 3
+    assert "positive" in capsys.readouterr().err
+
+
+def test_drive_period_overflow_fails_validation(tmp_path, capsys):
+    # 2 pi / omega = inf would make the stroboscopic sample step inf
+    ini = (EFFECTIVE_INI.replace("dt_sample = 0.2", "stroboscopic = true")
+           .replace("omega = 8", "omega = 1e-320"))
+    cfg = _write(tmp_path, "eff.ini", ini)
+    assert main(["validate", str(cfg)]) == 3
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path), "--quiet"]) == 3
+    assert "omega" in capsys.readouterr().err
+    assert not list(tmp_path.glob("eff_*"))
+
+
 def test_output_format_is_pinned(tmp_path):
     # CRLF line ends, %.12g floats, integers and 0/1 flags without ".0",
     # one header line except on the field matrices, and RunResult.metadata
@@ -787,6 +815,19 @@ def test_shipped_configs_run_without_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", code, str(tmp_path), *paths],
                          env=env, check=True, capture_output=True, text=True).stdout
     assert out.strip() == f"{[0] * len(paths)} []"
+
+
+def test_package_republishes_each_module_surface():
+    from fluxlattice import (config, core, dynamics, effective, hopping,
+                             observables, physical, runner, spectrum)
+    modules = (config, core, dynamics, effective, hopping, observables,
+               physical, runner, spectrum)
+    names = ["__version__"] + [n for m in modules for n in m.__all__]
+    assert len(set(names)) == len(names)
+    assert sorted(fluxlattice.__all__) == sorted(names)
+    for m in modules:
+        for n in m.__all__:
+            assert getattr(fluxlattice, n) is getattr(m, n), n
 
 
 def test_import_leaves_heavy_scipy_modules_unloaded():

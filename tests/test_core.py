@@ -194,6 +194,14 @@ def test_drive_validation():
         DriveSpec.resonant(omega=1.0, Gamma=0.0, M=1, sigma=0.0, rho=-3.5, waveform=wf)
 
 
+@pytest.mark.parametrize("omega", [1e-320, math.inf, math.nan])
+def test_drive_rejects_omega_without_finite_period(omega):
+    # 2 pi / 1e-320 overflows to inf; nan slips past a bare omega <= 0 check
+    with pytest.raises(ValueError, match="omega"):
+        DriveSpec.resonant(omega=omega, Gamma=0.5, M=1, sigma=0.1, rho=0.1,
+                           waveform=Waveform.sinusoidal())
+
+
 # -- fields -------------------------------------------------------------------
 
 def test_wavefield_validation_and_norm():

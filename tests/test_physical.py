@@ -81,3 +81,14 @@ def test_non_finite_inputs_rejected(key):
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
             physical_units(**{**REF, key: bad})
+
+
+@pytest.mark.parametrize("override", [
+    {"J_per_cm": 1e-200, "omega_over_J": 1e-200},  # omega underflows: F = 0
+    {"J_per_cm": 1e200, "omega_over_J": 1e200},    # omega overflows: F = inf
+    {"J_per_cm": 1e-310},  # subnormal J: F > 0 but R, Lambda and L are inf
+    {"Gamma": 1e308},      # the modulation amplitude overflows
+])
+def test_degenerate_derived_values_rejected(override):
+    with pytest.raises(ValueError, match="finite"):
+        physical_units(**{**REF, **override})
