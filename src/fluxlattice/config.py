@@ -181,7 +181,8 @@ class Scenario:
     ``config`` is the canonical form of the input with every default filled
     in, and the objects a run uses are built from it once, at load:
     ``drives`` (one per omega for compare, else one), ``hoppings`` aligned
-    with ``drives`` (none for full_evolve), the resolved spectrum ``fluxes``
+    with ``drives`` (none for full_evolve), ``samples``, the sample count
+    of each drive's run (evolutions only), the resolved spectrum ``fluxes``
     and the ``units`` record.
     """
 
@@ -208,6 +209,7 @@ class Scenario:
     omegas: tuple[float, ...] = ()
     drives: tuple[DriveSpec, ...] = ()
     hoppings: tuple[EffectiveHoppings, ...] = ()
+    samples: tuple[int, ...] = ()
     fluxes: tuple[RationalFlux, ...] = ()
     units: PhysicalParams | None = None
 
@@ -240,6 +242,10 @@ def _text(value) -> str:
 
 
 _REQUIRED = object()
+
+# largest amplitude array a run may hold at once, in bytes (16 per site and
+# sample; a compare run holds two trajectories)
+_TRAJECTORY_BYTES_MAX = 2 ** 32
 
 
 def scenario_from_sections(sections: dict) -> Scenario:
@@ -378,6 +384,8 @@ def scenario_from_sections(sections: dict) -> Scenario:
                 for d in drives:  # an RK4 step underflow fails here, not mid-run
                     _step_size(d, fields["J_x"], fields["J_y"],
                                fields.get("integrator") or IntegratorOptions())
+            if "time" in config:
+                fields["samples"] = _sample_counts(kind, fields, drives)
             if kind != "full_evolve":
                 fields["hoppings"] = tuple(
                     hoppings_from_drive(d, fields["J_x"], fields["J_y"], fields["method"])
@@ -389,6 +397,29 @@ def scenario_from_sections(sections: dict) -> Scenario:
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
     return Scenario(**fields)
+
+
+def _sample_counts(kind: str, fields: dict, drives) -> tuple[int, ...]:
+    """Samples on [0, t_max] of each drive's run, every dt_sample or period.
+
+    Fails when a run's amplitudes would exceed _TRAJECTORY_BYTES_MAX.
+    """
+    counts = []
+    for d in drives:
+        step = d.period if fields["stroboscopic"] else fields["dt_sample"]
+        steps = fields["t_max"] / step
+        if not math.isfinite(steps):
+            raise ValidationError("t_max / sample step overflows")
+        counts.append(math.floor(steps + 1e-9) + 1)
+    if kind != "semiclassical":  # it keeps four means per sample, no field
+        Nn, Nm = fields["window"].shape
+        size = max(counts) * Nn * Nm * 16 * (2 if kind == "compare" else 1)
+        if size > _TRAJECTORY_BYTES_MAX:
+            raise ValidationError(
+                f"{max(counts)} samples of {Nn}x{Nm} sites need {size:.3g} B of "
+                f"amplitudes, above the {_TRAJECTORY_BYTES_MAX} B limit; "
+                "raise dt_sample or shrink the window")
+    return tuple(counts)
 
 
 def _fluxes(spec: str, h: EffectiveHoppings) -> tuple[RationalFlux, ...]:

@@ -40,6 +40,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -93,6 +95,8 @@ class Trajectory:
     ``amplitudes`` is one read-only complex array of shape (T, Nn, Nm):
     row i is the field on ``window`` at ``times[i]``.  Wrap a single row as
     ``WaveField(traj.window, traj.amplitudes[i])`` where a field is needed.
+    The profile, center-of-mass and kinematics outputs read ``_sums``, one
+    pass over the samples taken when the first of them asks.
     """
 
     times: np.ndarray
@@ -120,6 +124,51 @@ class Trajectory:
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "norms", norms)
+
+    @cached_property  # written straight into the instance __dict__
+    def _sums(self) -> _SampleSums:
+        return _sample_sums(self.amplitudes)
+
+
+class _SampleSums(NamedTuple):
+    """Per-sample sums of |f|^2 and of the link correlators, read-only."""
+
+    rows: np.ndarray    # (T, Nn): sum_m |f[n,m]|^2, the profile I_n
+    cols: np.ndarray    # (T, Nm): sum_n |f[n,m]|^2
+    link_x: np.ndarray  # (T,): sum f*[n,m] f[n+1,m]
+    link_y: np.ndarray  # (T, Nn): sum_m f*[n,m] f[n,m+1], before any Peierls phase
+
+    def com(self, window: LatticeWindow):
+        """Norms (T,) and centers of mass (<n>, <m>) (T, 2) of the samples."""
+        norm = self.rows.sum(axis=1)
+        if np.any(norm <= 0.0):
+            raise ValueError("zero-norm field")
+        moments = np.column_stack([self.rows @ window.n_values,
+                                   self.cols @ window.m_values])
+        return norm, moments / norm[:, None]
+
+
+def _sample_sums(amps: np.ndarray) -> _SampleSums:
+    """_SampleSums of samples amps (T, Nn, Nm), one sample at a time.
+
+    A loop over samples keeps every temporary sample-sized; whole-array
+    and chunked forms of the same sums measured slower.
+    """
+    T, Nn, Nm = amps.shape
+    sums = _SampleSums(np.empty((T, Nn)), np.empty((T, Nm)),
+                       np.empty(T, dtype=complex), np.empty((T, Nn), dtype=complex))
+    w = np.empty((Nn, Nm))
+    for i, f in enumerate(amps):
+        np.square(np.abs(f, out=w), out=w)
+        w.sum(axis=1, out=sums.rows[i])
+        w.sum(axis=0, out=sums.cols[i])
+        flat = f.ravel()
+        sums.link_x[i] = np.vdot(flat[:-Nm], flat[Nm:])
+        # row n as a (1, Nm-1) @ (Nm-1, 1) product: faster than einsum
+        sums.link_y[i] = (f[:, None, :-1].conj() @ f[:, 1:, None])[:, 0, 0]
+    for a in sums:  # shared by every reader of the trajectory
+        a.setflags(write=False)
+    return sums
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from .dynamics import (
     _Hop,
     _neighbor_matrix,
     _rk4_span,
+    _SampleSums,
 )
 from .hopping import EffectiveHoppings, _tail_order, bessel_table
 
@@ -201,6 +202,26 @@ def expectation_kinematics(field: WaveField, hoppings: EffectiveHoppings) -> Kin
         sin_Pn=sin_pn,
         sin_Pm=sin_pm,
     )
+
+
+def _kinematics(sums: _SampleSums, window: LatticeWindow,
+                hoppings: EffectiveHoppings) -> np.ndarray:
+    """expectation_kinematics of every sample, to rounding, from their sums.
+
+    Columns: n_mean, m_mean, Pn, Pm, sin_Pn, sin_Pm, v_n, v_m; one row per
+    sample.  The Peierls phase meets the per-row correlators in one product.
+    """
+    norm, com = sums.com(window)
+    cx = sums.link_x / norm
+    cy = sums.link_y @ np.exp(1j * hoppings.flux_angle * window.n_values) / norm
+    return np.column_stack([
+        com,
+        np.arcsin(np.clip(cx.imag, -1.0, 1.0)),
+        np.arcsin(np.clip(cy.imag, -1.0, 1.0)),
+        cx.imag, cy.imag,
+        2.0 * (hoppings.kappa_x * cx).imag,
+        2.0 * (hoppings.kappa_y * cy).imag,
+    ])
 
 
 def semiclassical_evolve(initial: SemiclassicalState, hoppings: EffectiveHoppings,

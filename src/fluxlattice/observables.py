@@ -45,10 +45,8 @@ class FringeRecord:
 
 def vertical_profile(traj: Trajectory) -> FringeRecord:
     """Column-integrated intensities I_n(t) = sum_m |c[n,m]|^2 per sample."""
-    # one sample at a time: no trajectory-sized temporaries
-    profiles = np.array([np.sum(np.abs(f) ** 2, axis=1) for f in traj.amplitudes])
     return FringeRecord(times=np.asarray(traj.times, dtype=float),
-                        profiles=profiles,
+                        profiles=traj._sums.rows,
                         n_values=traj.window.n_values.copy())
 
 
@@ -81,11 +79,21 @@ def fringe_visibility(profile, columns) -> float:
 
 
 def with_visibility(record: FringeRecord, columns=None) -> FringeRecord:
-    """Attach the per-time visibility series over the central columns."""
+    """Attach the per-time visibility series over the central columns.
+
+    Row t is fringe_visibility(record.profiles[t], columns); every row's
+    alternating and plain weighted sums come from one matrix product.
+    """
     if columns is None:
         columns = central_columns(record.profiles.shape[1])
-    vis = np.array([fringe_visibility(p, columns) for p in record.profiles])
-    return replace(record, visibility=vis)
+    seg = np.asarray(record.profiles, dtype=float)[:, columns]
+    if seg.shape[1] == 0 or not np.all(np.any(seg, axis=1)):
+        raise ValueError("zero profile in visibility window")
+    w = np.ones(seg.shape[1])
+    w[0] = w[-1] = 0.5
+    signs = (-1.0) ** np.arange(w.size)
+    alternating, plain = (seg @ np.column_stack([w * signs, w])).T
+    return replace(record, visibility=np.abs(alternating) / plain)
 
 
 def revival_period(record: FringeRecord) -> float | None:
@@ -135,16 +143,7 @@ def _first_peak(x: np.ndarray, prominence: float) -> int | None:
 
 def com_path(traj: Trajectory) -> np.ndarray:
     """Center of mass (<n>, <m>) per sample, shape (T, 2)."""
-    w = traj.window
-    path = np.empty((traj.times.size, 2))
-    for i, f in enumerate(traj.amplitudes):
-        weight = np.abs(f) ** 2
-        norm = weight.sum()
-        if norm <= 0.0:
-            raise ValueError("zero-norm field in trajectory")
-        path[i] = (weight.sum(axis=1) @ w.n_values / norm,
-                   weight.sum(axis=0) @ w.m_values / norm)
-    return path
+    return traj._sums.com(traj.window)[1]
 
 
 @dataclass(frozen=True)

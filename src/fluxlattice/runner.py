@@ -25,9 +25,9 @@ import numpy as np
 
 from ._version import __version__
 from .config import Scenario, load_config
-from .core import WaveField
 from .dynamics import Trajectory, evolve_full, gaussian_input
 from .effective import (
+    _kinematics,
     evolve_effective,
     expectation_kinematics,
     gauge_map,
@@ -58,10 +58,19 @@ class RunResult:
 
 # -- output ------------------------------------------------------------------
 
+_CSV_BLOCK = 64  # rows formatted per write
+
+
 def _write_csv(path: Path, header, table, fmt="%.12g") -> None:
+    """np.savetxt's bytes for these arguments: one % per row, written by blocks."""
+    table = np.asarray(table)
+    line = ",".join([fmt] * table.shape[1] if isinstance(fmt, str) else fmt) + "\r\n"
     with path.open("w", newline="", encoding="utf-8") as fh:
-        np.savetxt(fh, table, fmt=fmt, delimiter=",", newline="\r\n",
-                   header=",".join(header or ()), comments="")
+        if header:
+            fh.write(",".join(header) + "\r\n")
+        for i in range(0, len(table), _CSV_BLOCK):
+            fh.write("".join([line % tuple(row)
+                              for row in table[i:i + _CSV_BLOCK].tolist()]))
 
 
 def _plain(obj):
@@ -75,17 +84,19 @@ def _plain(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _start(s: Scenario, drive):
-    """Sample times and the input at t_start, in the driven and effective frames.
+def _start(s: Scenario, i: int = 0):
+    """Sample times of drive i's run and its input at t_start, in the driven
+    and effective frames.
 
-    Samples lie on [0, t_max], every dt_sample or every drive period.  Full,
-    effective, semiclassical and compare runs all start from this one
-    prepared state, so both frames describe the same state at t_start.  The
-    delta-kick train's pre-kick branch is used: a kick at t_start is still
-    to act, and the integrators apply it.
+    The s.samples[i] samples lie on [0, t_max], every dt_sample or every
+    drive period.  Full, effective, semiclassical and compare runs all
+    start from this one prepared state, so both frames describe the same
+    state at t_start.  The delta-kick train's pre-kick branch is used: a
+    kick at t_start is still to act, and the integrators apply it.
     """
+    drive = s.drives[i]
     step = drive.period if s.stroboscopic else s.dt_sample
-    times = np.arange(int(math.floor(s.t_max / step + 1e-9)) + 1) * step
+    times = np.arange(s.samples[i]) * step
     c0 = gaussian_input(s.window, s.width, s.tilt, drive=drive,
                         imprint=s.imprint, t_start=s.t_start)
     f0 = gauge_map(c0, s.t_start, drive, side="left")
@@ -184,33 +195,27 @@ def _trajectory_products(s: Scenario, traj: Trajectory):
 
 
 def _run_full(s: Scenario):
-    drive = s.drive
-    times, c0, _ = _start(s, drive)
-    traj = evolve_full(c0, drive, s.J_x, s.J_y, times, s.integrator, s.t_start)
+    times, c0, _ = _start(s)
+    traj = evolve_full(c0, s.drive, s.J_x, s.J_y, times, s.integrator, s.t_start)
     return _trajectory_products(s, traj)
 
 
 def _run_effective(s: Scenario):
     h = s.hoppings[0]
-    times, _, f0 = _start(s, s.drive)
+    times, _, f0 = _start(s)
     traj = evolve_effective(f0, h, times, s.integrator, s.t_start)
     derived, tables = _trajectory_products(s, traj)
     derived.update(kappa_x=h.kappa_x, kappa_y=h.kappa_y, alpha=h.alpha)
-    rows = []
-    for t, amps in zip(traj.times, traj.amplitudes):
-        k = expectation_kinematics(WaveField(traj.window, amps), h)
-        rows.append([t, k.state.n_mean, k.state.m_mean,
-                     k.state.Pn_mean, k.state.Pm_mean,
-                     k.sin_Pn, k.sin_Pm, k.v_n, k.v_m])
+    table = np.column_stack([traj.times, _kinematics(traj._sums, traj.window, h)])
     tables["kinematics"] = (["t", "n_mean", "m_mean", "Pn", "Pm",
-                             "sin_Pn", "sin_Pm", "v_n", "v_m"], rows)
+                             "sin_Pn", "sin_Pm", "v_n", "v_m"], table)
     return derived, tables
 
 
 def _run_semiclassical(s: Scenario):
     h = s.hoppings[0]
     # same prepared state as an effective run, reduced to its expectations
-    times, _, f0 = _start(s, s.drive)
+    times, _, f0 = _start(s)
     initial = expectation_kinematics(f0, h).state
     states = semiclassical_evolve(initial, h, h.flux_angle, times)
     rows = [[t, st.n_mean, st.m_mean, st.Pn_mean, st.Pm_mean]
@@ -237,8 +242,8 @@ def _run_semiclassical(s: Scenario):
 def _run_compare(s: Scenario):
     rows, peaks, finals = [], [], []
     truncation = False
-    for omega, drive, h in zip(s.omegas, s.drives, s.hoppings):
-        times, c0, f0 = _start(s, drive)
+    for i, (omega, drive, h) in enumerate(zip(s.omegas, s.drives, s.hoppings)):
+        times, c0, f0 = _start(s, i)
         full = evolve_full(c0, drive, s.J_x, s.J_y, times, s.integrator,
                            s.t_start)
         eff = evolve_effective(f0, h, times, s.integrator, s.t_start)

@@ -617,6 +617,16 @@ def test_drive_period_overflow_fails_validation(tmp_path, capsys):
     assert not list(tmp_path.glob("eff_*"))
 
 
+def test_oversized_trajectory_fails_validation(tmp_path, capsys):
+    # 100001 samples of 801x801 sites, about 1e12 B of amplitudes: validated
+    # only, never run
+    ini = (EFFECTIVE_INI.replace("n_half = 2", "n_half = 400")
+           .replace("t_max = 0.4", "t_max = 0.1")
+           .replace("dt_sample = 0.2", "dt_sample = 1e-6"))
+    assert main(["validate", str(_write(tmp_path, "big.ini", ini))]) == 3
+    assert "100001 samples of 801x801 sites" in capsys.readouterr().err
+
+
 def test_output_format_is_pinned(tmp_path):
     # CRLF line ends, %.12g floats, integers and 0/1 flags without ".0",
     # one header line except on the field matrices, and RunResult.metadata

@@ -25,7 +25,9 @@ from fluxlattice import (
     vertical_profile,
     with_visibility,
 )
+from fluxlattice.config import scenario_from_sections
 from fluxlattice.observables import _first_peak
+from fluxlattice.runner import _trajectory_products
 
 PI = math.pi
 
@@ -51,6 +53,21 @@ def test_vertical_profile_sums_to_norm(rng):
     np.testing.assert_allclose(rec.n_values, np.arange(-4, 5))
 
 
+def test_profile_and_com_match_per_sample_loops(rng):
+    # the shared pass against the loops it replaced: the profile bit for bit
+    # (profile.csv stays byte-identical), the center of mass to rounding
+    w = LatticeWindow(-3, 4, -2, 6)
+    amps = [rng.normal(size=w.shape) + 1j * rng.normal(size=w.shape)
+            for _ in range(5)]
+    traj = _trajectory_from_amps(w, np.arange(5.0), amps)
+    profiles = np.array([np.sum(np.abs(f) ** 2, axis=1) for f in amps])
+    np.testing.assert_array_equal(vertical_profile(traj).profiles, profiles)
+    com = [(np.sum(np.abs(f) ** 2, axis=1) @ w.n_values / np.sum(np.abs(f) ** 2),
+            np.sum(np.abs(f) ** 2, axis=0) @ w.m_values / np.sum(np.abs(f) ** 2))
+           for f in amps]
+    np.testing.assert_allclose(com_path(traj), com, rtol=0.0, atol=1e-13)
+
+
 def test_central_columns_window():
     assert central_columns(8) == slice(2, 6)
     assert central_columns(61) == slice(15, 46)
@@ -71,6 +88,43 @@ def test_fringe_visibility_limits():
     assert fringe_visibility(spike, cols) == pytest.approx(1.0)
     with pytest.raises(ValueError, match="zero profile"):
         fringe_visibility(np.zeros(5), cols)
+
+
+@pytest.mark.parametrize("columns", [slice(3, 14), slice(2, 16), slice(0, 21),
+                                     np.arange(4, 12)],
+                         ids=["odd", "even", "all", "index-array"])
+def test_with_visibility_is_fringe_visibility_per_profile(rng, columns):
+    profiles = rng.uniform(0.0, 1.0, size=(40, 21))
+    profiles[5, ::2] *= 0.1  # strong fringes in one row
+    rec = with_visibility(FringeRecord(np.arange(40.0), profiles, np.arange(21)),
+                          columns)
+    expected = [fringe_visibility(p, columns) for p in profiles]
+    np.testing.assert_allclose(rec.visibility, expected, rtol=0.0, atol=1e-15)
+
+
+def test_with_visibility_rejects_a_zero_profile_row():
+    profiles = np.ones((3, 9))
+    profiles[1, 2:7] = 0.0  # zero inside the central window only
+    rec = FringeRecord(np.arange(3.0), profiles, np.arange(9))
+    with pytest.raises(ValueError, match="zero profile"):
+        with_visibility(rec)
+    # the runner then writes the profile without a visibility table
+    w = LatticeWindow(0, 8, 0, 2)
+    amps = np.ones((3,) + w.shape, dtype=complex)
+    amps[1, 2:7] = 0.0
+    traj = _trajectory_from_amps(w, [0.0, 1.0, 2.0], amps)
+    s = scenario_from_sections({
+        "scenario": {"kind": "full_evolve"},
+        "drive": {"waveform": "sinusoidal", "omega": "8", "Gamma": "0.717",
+                  "M": "1", "sigma": "pi", "rho": "pi"},
+        "coupling": {"J_x": "1", "J_y": "1"},
+        "lattice": {"n_half": "1"}, "input": {"width": "1"},
+        "time": {"t_max": "1", "dt_sample": "0.5"}})
+    derived, tables = _trajectory_products(s, traj)
+    assert "profile" in tables and "visibility" not in tables
+    assert "visibility_final" not in derived
+    np.testing.assert_array_equal(tables["profile"][1][:, 1:],
+                                  np.sum(np.abs(amps) ** 2, axis=2))
 
 
 def test_visibility_series_and_revival_period():
@@ -154,6 +208,14 @@ def test_com_path_tracks_displaced_spike():
 def test_com_path_rejects_zero_field():
     w = LatticeWindow.centered(1)
     traj = _trajectory_from_amps(w, [0.0], [np.zeros(w.shape)])
+    with pytest.raises(ValueError, match="zero-norm"):
+        com_path(traj)
+
+
+def test_com_path_rejects_a_zero_norm_sample_among_others():
+    w = LatticeWindow.centered(2)
+    a = np.ones(w.shape)
+    traj = _trajectory_from_amps(w, [0.0, 1.0, 2.0], [a, np.zeros(w.shape), a])
     with pytest.raises(ValueError, match="zero-norm"):
         com_path(traj)
 

@@ -4,13 +4,16 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import fluxlattice.config
 import fluxlattice.runner
 from fluxlattice import run_scenario
 from fluxlattice.config import ValidationError, load_config, scenario_from_sections
-from fluxlattice.core import DriveSpec, Waveform
+from fluxlattice.core import DriveSpec, WaveField, Waveform
 from fluxlattice.dynamics import IntegratorOptions
+from fluxlattice.effective import evolve_effective, expectation_kinematics
 from fluxlattice.hopping import hoppings_from_drive
 from fluxlattice.physical import physical_units
 from fluxlattice.spectrum import RationalFlux, farey_fluxes
@@ -195,3 +198,109 @@ def test_runs_use_the_hoppings_built_at_load(tmp_path, monkeypatch, sections):
     result = run_scenario(s, tmp_path, quiet=True)
     assert result.exit_code == 0
     assert result.metadata["config"] == s.resolved_config()
+
+
+# -- sample counts and the trajectory size limit -------------------------------------
+
+def test_scenario_records_sample_counts():
+    # floor(t_max / step + 1e-9) + 1 samples, step dt_sample or each drive's period
+    assert scenario_from_sections(_evolve_sections()).samples == (3,)
+    assert load_config(CONFIGS / "fig1b.ini").samples == (201,)
+    s = scenario_from_sections(_compare_sections())
+    assert s.samples == tuple(math.floor(0.5 / d.period + 1e-9) + 1 for d in s.drives)
+    assert s.samples == (2, 4)
+    assert scenario_from_sections(_drive_sections()).samples == ()
+
+
+def test_trajectory_size_limit_counts_both_compare_trajectories(monkeypatch):
+    # a compare run holds its full and effective trajectories at once
+    sections = _compare_sections()  # 7x7 sites, at most 4 samples
+    one = 4 * 49 * 16
+    monkeypatch.setattr(fluxlattice.config, "_TRAJECTORY_BYTES_MAX", 2 * one)
+    assert scenario_from_sections(sections).samples == (2, 4)
+    monkeypatch.setattr(fluxlattice.config, "_TRAJECTORY_BYTES_MAX", 2 * one - 1)
+    with pytest.raises(ValidationError, match="samples of 7x7 sites"):
+        scenario_from_sections(sections)
+    evolve = _evolve_sections()  # 3 samples of 7x7
+    monkeypatch.setattr(fluxlattice.config, "_TRAJECTORY_BYTES_MAX", 3 * 49 * 16)
+    assert scenario_from_sections(evolve).samples == (3,)
+    semi = _evolve_sections("semiclassical")  # keeps no field: never limited
+    monkeypatch.setattr(fluxlattice.config, "_TRAJECTORY_BYTES_MAX", 0)
+    assert scenario_from_sections(semi).samples == (3,)
+
+
+def test_sample_step_overflow_fails_validation():
+    sections = _evolve_sections()
+    sections["time"] = {"t_max": "1e300", "dt_sample": "1e-300"}
+    with pytest.raises(ValidationError, match="overflows"):
+        scenario_from_sections(sections)
+
+
+# -- CSV writer and the kinematics table ---------------------------------------------
+
+def _savetxt_bytes(path, header, table, fmt="%.12g"):
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        np.savetxt(fh, table, fmt=fmt, delimiter=",", newline="\r\n",
+                   header=",".join(header or ()), comments="")
+    return path.read_bytes()
+
+
+_AWKWARD = [0.0, -0.0, 1.0, -2.5, 1e-300, 123456789012345.0, 1.0 / 3.0,
+            math.pi, -7e-17, float("nan"), float("inf")]
+
+
+@pytest.mark.parametrize("table", [
+    # profile: a float array with a header
+    (["t", "n=-1", "n=0", "n=1"], np.resize(_AWKWARD, (600, 4))),
+    # field_final_re: a headerless matrix, a transposed view of complex data
+    (None, (np.resize(_AWKWARD, (5, 7)) + 1j).real.T),
+    # hoppings: an object table with one string column
+    (["method"] + [f"c{i}" for i in range(8)],
+     np.array([["quadrature"] + _AWKWARD[:8], ["closed"] + _AWKWARD[3:11]],
+              dtype=object), ["%s"] + ["%.12g"] * 8),
+    # bands: list rows with a bool under %d
+    (["band", "E_min", "E_max", "touching_next"],
+     [[0, -2.5, 1.0 / 3.0, True], [1, math.pi, 7.0, False]],
+     ["%d", "%.12g", "%.12g", "%d"]),
+    # units: one row of mixed %d and %.12g
+    (["a", "M", "b"], [[1.0 / 3.0, 2, 1e-300]], ["%.12g", "%d", "%.12g"]),
+], ids=["profile", "field-matrix", "hoppings", "bands", "units"])
+def test_csv_writer_matches_savetxt(tmp_path, table):
+    fluxlattice.runner._write_csv(tmp_path / "w.csv", *table)
+    assert (tmp_path / "w.csv").read_bytes() == _savetxt_bytes(tmp_path / "s.csv", *table)
+
+
+def test_kinematics_table_is_expectation_kinematics_per_sample():
+    # non-zero Peierls phase (sigma = -pi/25), anisotropic J, tilted packet
+    sections = _evolve_sections()
+    sections["drive"].update(omega="40", Gamma="0.9", sigma="-pi/25")
+    sections["coupling"] = {"J_x": "1", "J_y": "2"}
+    sections["lattice"] = {"n_half": "10"}
+    sections["input"] = {"width": "3", "tilt": "pi/2"}
+    sections["time"] = {"t_max": "2", "dt_sample": "0.25"}
+    s = scenario_from_sections(sections)
+    h = s.hoppings[0]
+    assert h.flux_angle != 0.0
+    _, tables = fluxlattice.runner._run_effective(s)
+    header, table = tables["kinematics"]
+    times, _, f0 = fluxlattice.runner._start(s)
+    traj = evolve_effective(f0, h, times, s.integrator, s.t_start)
+    n, m = s.window.n_grid, s.window.m_grid
+    peierls = np.exp(1j * h.flux_angle * n)
+    assert table.shape == (times.size, 9)
+    for row, t, f in zip(table, times, traj.amplitudes):
+        weight = np.abs(f) ** 2
+        norm = weight.sum()
+        cx = np.sum(np.conj(f[:-1, :]) * f[1:, :]) / norm
+        cy = np.sum(peierls * np.conj(f[:, :-1]) * f[:, 1:]) / norm
+        reference = [t, np.sum(n * weight) / norm, np.sum(m * weight) / norm,
+                     math.asin(cx.imag), math.asin(cy.imag), cx.imag, cy.imag,
+                     2.0 * (h.kappa_x * cx).imag, 2.0 * (h.kappa_y * cy).imag]
+        np.testing.assert_allclose(row, reference, rtol=0.0, atol=1e-13)
+        k = expectation_kinematics(WaveField(s.window, f), h)
+        np.testing.assert_allclose(
+            row[1:], [k.state.n_mean, k.state.m_mean, k.state.Pn_mean,
+                      k.state.Pm_mean, k.sin_Pn, k.sin_Pm, k.v_n, k.v_m],
+            rtol=0.0, atol=1e-13)
+    # the packet moves along n and the flux turns it towards m
+    assert np.ptp(table[:, 1]) > 1.0 and np.ptp(table[:, 6]) > 0.01
