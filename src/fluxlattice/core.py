@@ -341,15 +341,29 @@ def beta_site(drive: DriveSpec, window: LatticeWindow, t: float) -> np.ndarray:
 
 
 class _GaugePhase:
-    """theta[n,m](t) of one drive on one window, site terms precomputed.
+    """theta[n,m](t) of one drive on one window, and exp(i theta) by classes.
 
-    Evaluating many times (once per integrator stage) only redoes the
-    time-dependent part; see gauge_phase for the formula.
+    theta (gauge_phase) splits into a part per column and a drive part,
+
+        theta[n,m](t) = [(M/2) rho m (m-1) + (beta0 + F m) t]
+                        + Gamma G(omega t + phi[n,m]),
+
+    and G repeats with period 2 pi, so the drive part depends on phi[n,m]
+    modulo 2 pi only.  unit() builds exp(i theta) as the product of Nm
+    column factors and one factor exp(i Gamma G(omega t + phi_c)) per class
+    c of phi mod 2 pi, gathered by a class index made once per instance.
+    Sites share a class when round(phi / 2 pi mod 1, 12) mod 1 agrees (the
+    rounding of dynamics._kick_times), and a class takes the unrounded
+    phi mod 2 pi of its first site.  On a 61 x 61 window sigma = rho = pi
+    gives 2 classes and sigma = -pi/25, rho = pi gives 50; incommensurate
+    sigma, rho give one class per site.  Calling the instance evaluates
+    theta itself and redoes only the time-dependent part.
     """
 
     def __init__(self, drive: DriveSpec, window: LatticeWindow):
         m = window.m_grid
         self._drive = drive
+        self._shape = window.shape
         self._phi = phase_offsets(window, drive.sigma, drive.rho)
         self._staircase = 0.5 * drive.M * drive.rho * m * (m - 1.0)
         self._rate = drive.beta0 + drive.F * m
@@ -358,6 +372,33 @@ class _GaugePhase:
         d = self._drive
         g = d.waveform.antiderivative(d.omega * t + self._phi, side=side)
         return self._staircase + self._rate * t + d.Gamma * g
+
+    @cached_property
+    def classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(phi_c of each class, class index of each flattened site)."""
+        phi = self._phi.ravel()
+        key = np.round(np.mod(phi / TWO_PI, 1.0), 12) % 1.0
+        _, first, index = np.unique(key, return_index=True, return_inverse=True)
+        return np.mod(phi[first], TWO_PI), index.ravel()
+
+    def unit(self, t: float, side: str = "right", out: np.ndarray | None = None) -> np.ndarray:
+        """exp(i theta(t)) flattened (i = n*Nm + m), written into out if given."""
+        d = self._drive
+        phi_c, index = self.classes
+        g = d.Gamma * d.waveform.antiderivative(d.omega * t + phi_c, side=side)
+        # mode="clip" lets take write straight into out; every index is valid
+        out = _cis(g).take(index, out=out, mode="clip")
+        grid = out.reshape(self._shape)  # a view: out is contiguous
+        grid *= _cis(self._staircase + self._rate * t)
+        return out
+
+
+def _cis(x: np.ndarray) -> np.ndarray:
+    """exp(i x), cos and sin written straight into the real and imaginary parts."""
+    e = np.empty(x.shape, dtype=complex)
+    np.cos(x, out=e.real)
+    np.sin(x, out=e.imag)
+    return e
 
 
 def gauge_phase(drive: DriveSpec, window: LatticeWindow, t: float,

@@ -24,6 +24,13 @@ explicit RK4 below norm_drift_tol * J * (t - t_start); drift is budgeted,
 not corrected, and every trajectory records the norms of the samples it
 returns so the budget can be audited after the fact.
 
+Every exp(+-i theta) of a run (RK4 stages, the input at t_start, each
+stored sample, each kick span) is core._GaugePhase.unit: Nm column factors
+times one factor per class of phi mod 2 pi, so a time costs Nm + K cos/sin
+pairs for K classes (2 at sigma = rho = pi) instead of N.  The RK4 stages
+run in buffers made once per span, and e(t) is kept from one stage time to
+the next, so a step evaluates the phases at two times.
+
 The delta-kick train takes no step.  Between kicks beta = beta0 + F m is
 static, so U = U_x (x) U_y is exact from one eigh of each chain, the Nm
 one tilted (the Wannier-Stark propagator; Hartmann, Keck, Korsch &
@@ -248,35 +255,37 @@ def _step_size(drive: DriveSpec, J_x: float, J_y: float,
 
 
 def _rk4_span(psi: np.ndarray, t0: float, t1: float, h_cap: float, rhs) -> np.ndarray:
+    """psi advanced from t0 to t1 by classical RK4 in equal steps <= h_cap.
+
+    rhs(t, v, out) writes dpsi/dt at (t, v) into out and returns it.  The
+    stages live in four buffers made once per span, and the update keeps
+    the operation order of psi + h/6 (k1 + 2 (k2 + k3) + k4).  psi itself
+    is left unchanged; a new array is returned.
+    """
     span = t1 - t0
     if span <= 0.0:
         return psi
     steps = max(1, int(math.ceil(span / h_cap - 1e-12)))
     h = span / steps
+    psi = psi.copy()
+    y, k1, k2, k3 = (np.empty_like(psi) for _ in range(4))
     t = t0
     for k in range(steps):
         # the next step starts at exactly this step's end time, so an rhs
         # can reuse what it computed there
         t_next = t0 + (k + 1) * h
-        k1 = rhs(t, psi)
-        k2 = rhs(t + 0.5 * h, psi + (0.5 * h) * k1)
-        k3 = rhs(t + 0.5 * h, psi + (0.5 * h) * k2)
-        k4 = rhs(t_next, psi + h * k3)
-        psi = psi + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        rhs(t, psi, k1)
+        rhs(t + 0.5 * h, np.add(psi, np.multiply(k1, 0.5 * h, out=y), out=y), k2)
+        rhs(t + 0.5 * h, np.add(psi, np.multiply(k2, 0.5 * h, out=y), out=y), k3)
+        np.add(psi, np.multiply(k3, h, out=y), out=y)
+        k2 += k3
+        k2 *= 2.0
+        k2 += k1
+        k2 += rhs(t_next, y, k3)  # k4, in the buffer k3 no longer needs
+        k2 *= h / 6.0
+        psi += k2
         t = t_next
     return psi
-
-
-def _unit_phase(theta: np.ndarray) -> np.ndarray:
-    """exp(i theta) as a flat array.
-
-    cos and sin go straight into the real and imaginary parts, which is
-    cheaper than np.exp(1j * theta) with its complex temporary.
-    """
-    e = np.empty(theta.size, dtype=complex)
-    np.cos(theta.ravel(), out=e.real)
-    np.sin(theta.ravel(), out=e.imag)
-    return e
 
 
 def _kick_times(drive: DriveSpec, window: LatticeWindow, t0: float,
@@ -313,9 +322,9 @@ def _split_span(drive: DriveSpec, window: LatticeWindow, J_x: float,
 
     def span(f, t_a, t_b):
         for t_k in [*kicks[(kicks > t_a + 1e-9) & (kicks < t_b - 1e-9)], t_b]:
-            c = (f * _unit_phase(-theta(t_a, "right"))).reshape(Nn, Nm)
+            c = (f * theta.unit(t_a, "right").conj()).reshape(Nn, Nm)
             c = vx @ ((vx.T @ c @ vy) * np.exp(-1j * (t_k - t_a) * lam)) @ vy.T
-            f, t_a = c.ravel() * _unit_phase(theta(t_k, "left")), t_k
+            f, t_a = c.ravel() * theta.unit(t_k, "left"), t_k
         return f
     return span
 
@@ -378,7 +387,7 @@ def evolve_full(initial: WaveField, drive: DriveSpec, J_x: float, J_y: float,
     window = initial.window
     t = _check_samples(t_samples, t_start)
     theta = _GaugePhase(drive, window)
-    f = (initial.amplitudes * np.exp(1j * theta(t_start, "left"))).ravel()
+    f = initial.amplitudes.ravel() * theta.unit(t_start, "left")
 
     if drive.waveform.kind is WaveformKind.DELTA_KICKS:
         span = _split_span(drive, window, J_x, J_y, theta,
@@ -386,15 +395,15 @@ def evolve_full(initial: WaveField, drive: DriveSpec, J_x: float, J_y: float,
     else:
         h = _step_size(drive, J_x, J_y, opts)
         hop = _Hop(window, -J_x, -J_y, scale=-1j)
-        cache = {}
+        e, e_conj, w = (np.empty_like(f) for _ in range(3))
+        t_e = math.nan  # the time e holds: RK4 asks for each at most twice, in a row
 
-        def rhs(tt, v):
-            if tt not in cache:  # RK4 asks for each time at most twice, in a row
-                cache.clear()
-                e = _unit_phase(theta(tt))
-                cache[tt] = (e, e.conj())
-            e, e_conj = cache[tt]
-            return e * hop(e_conj * v)
+        def rhs(tt, v, out):
+            nonlocal t_e
+            if tt != t_e:
+                np.conjugate(theta.unit(tt, out=e), out=e_conj)
+                t_e = tt
+            return np.multiply(e, hop(np.multiply(e_conj, v, out=w)), out=out)
 
         def span(v, t_a, t_b):
             return _rk4_span(v, t_a, t_b, h, rhs)
@@ -405,7 +414,7 @@ def evolve_full(initial: WaveField, drive: DriveSpec, J_x: float, J_y: float,
     for i, ts in enumerate(t):
         if ts > t_cur:
             f, t_cur = span(f, t_cur, ts), ts
-        amps[i] = f.reshape(window.shape) * np.exp(-1j * theta(float(ts), "right"))
+        amps[i] = (f * theta.unit(float(ts), "right").conj()).reshape(window.shape)
     return _finish_trajectory(window, t, amps, opts,
                               max(abs(J_x), abs(J_y)) or 1.0, t_start)
 

@@ -244,10 +244,11 @@ def semiclassical_evolve(initial: SemiclassicalState, hoppings: EffectiveHopping
     y = np.array([initial.n_mean, initial.m_mean,
                   initial.Pn_mean + ax, initial.Pm_mean + ay])
 
-    def rhs(_, s):
+    def rhs(_, s, out):
         spn, spm = math.sin(s[2]), math.sin(s[3])
-        return np.array([2.0 * kx * spn, 2.0 * ky * spm,
-                         -2.0 * ky * sigma * spm, 2.0 * kx * sigma * spn])
+        out[:] = (2.0 * kx * spn, 2.0 * ky * spm,
+                  -2.0 * ky * sigma * spm, 2.0 * kx * sigma * spn)
+        return out
 
     scale = max(abs(kx * sigma), abs(ky * sigma), kx, ky)
     h_cap = 0.001 / scale if scale > 0.0 else 1.0

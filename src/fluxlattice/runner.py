@@ -182,9 +182,10 @@ def _trajectory_products(s: Scenario, traj: Trajectory):
         derived["com_final"] = path[-1]
     if s.out_fields:
         final = traj.amplitudes[-1]
-        # matrix layout: one row per m (ascending), one column per n
-        tables["field_final_re"] = (None, final.real.T)
-        tables["field_final_im"] = (None, final.imag.T)
+        # matrix layout: one row per m (ascending), one column per n; copies,
+        # so the tables do not keep the whole trajectory alive
+        tables["field_final_re"] = (None, final.real.T.copy())
+        tables["field_final_im"] = (None, final.imag.T.copy())
     derived["norm_initial"] = traj.norms[0]
     derived["norm_final"] = traj.norms[-1]
     derived["norm_drift"] = np.max(np.abs(traj.norms - traj.norms[0]))

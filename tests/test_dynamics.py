@@ -23,7 +23,7 @@ from fluxlattice import (
     smoothed_delta_train,
 )
 from fluxlattice import dynamics
-from fluxlattice.core import beta_site
+from fluxlattice.core import _GaugePhase, beta_site, gauge_phase
 from fluxlattice.dynamics import _Hop, _neighbor_matrix
 
 PI = math.pi
@@ -222,6 +222,30 @@ def test_default_step_matches_a_fine_step(monkeypatch, drive):
     assert np.max(np.abs(coarse.amplitudes - fine.amplitudes)) < 2e-8
 
 
+# -- gauge factor -----------------------------------------------------------------
+
+@pytest.mark.parametrize("sigma, rho, classes", [(PI, PI, 2), (-PI / 25, PI, 50),
+                                                 (3.0, math.sqrt(2.0), 61 * 61)],
+                         ids=["pi_pi", "fig2", "incommensurate"])
+@pytest.mark.parametrize("waveform", [Waveform.sinusoidal(),
+                                      smoothed_delta_train(0.3, 64),
+                                      Waveform.delta_kicks()],
+                         ids=["sinusoidal", "sampled", "delta_kicks"])
+def test_unit_phase_matches_gauge_phase(waveform, sigma, rho, classes):
+    # exp(i theta) from column and phase-class factors against the site-wise
+    # theta; 3 pi / omega is a kick time of site (0, 0), 0.37 none of it
+    w = LatticeWindow.centered(30)
+    d = DriveSpec.resonant(omega=8.0, Gamma=0.717, M=1, sigma=sigma, rho=rho,
+                           waveform=waveform, beta0=0.25)
+    theta = _GaugePhase(d, w)
+    assert theta.classes[0].size == classes
+    for t in (3.0 * PI / d.omega, 0.37):
+        for side in ("right", "left"):
+            ref = gauge_phase(d, w, t, side)
+            err = np.max(np.abs(theta.unit(t, side) - np.exp(1j * ref).ravel()))
+            assert err <= 1e-15 * (1.0 + np.max(np.abs(ref)))
+
+
 # -- delta-kick engine -----------------------------------------------------------
 
 def test_kick_phase_pattern_no_hopping():
@@ -394,6 +418,19 @@ def test_recorded_norms_are_those_of_the_returned_samples(run):
     else:
         traj = evolve_full(c0, d, 1.0, 1.0, ts)
     assert np.array_equal(traj.norms, [np.vdot(a, a).real for a in traj.amplitudes])
+
+
+@pytest.mark.parametrize("drive", [_sinusoidal(), _delta()], ids=["sinusoidal", "delta_kicks"])
+def test_samples_and_input_are_not_overwritten(drive):
+    # the stages run in buffers reused from step to step: the input field
+    # and every stored sample must stay as they were when written
+    w = LatticeWindow.centered(6)
+    c0 = gaussian_input(w, 2.0, tilt=0.3, drive=drive, imprint=True)
+    before = c0.amplitudes.copy()
+    both = evolve_full(c0, drive, 1.0, 0.8, [0.1, 0.2])
+    one = evolve_full(c0, drive, 1.0, 0.8, [0.1])
+    assert np.array_equal(c0.amplitudes, before)
+    assert np.array_equal(both.amplitudes[0], one.amplitudes[0])
 
 
 def test_step_size_underflow_raises():
