@@ -34,6 +34,11 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
+# A kick closer than this to an evaluation point (a sample, t_start, a span
+# end), in units of phase / pi, i.e. pi / omega of time, counts as at it:
+# G's branches, the kick times and the kick span all use this one guard.
+_KICK_GUARD = 1e-9
+
 __all__ = [
     "TWO_PI",
     "LatticeWindow",
@@ -220,14 +225,14 @@ class Waveform:
 
     def _delta_G(self, x, side):
         # Parity of the kick count up to x decides the square-wave level.
-        # The 1e-9 guard keeps evaluation at nominal kick points stable when
+        # The guard keeps evaluation at nominal kick points stable when
         # x = omega*t + phi was reconstructed in floating point.
         u = np.asarray(x, dtype=float) / math.pi
         if side == "right":
-            parity = np.floor(u + 1e-9) % 2.0
+            parity = np.floor(u + _KICK_GUARD) % 2.0
             g = np.where(parity == 0.0, 1.0, 0.0)
         else:
-            parity = np.ceil(u - 1e-9) % 2.0
+            parity = np.ceil(u - _KICK_GUARD) % 2.0
             g = np.where(parity == 1.0, 1.0, 0.0)
         return float(g) if g.ndim == 0 else g
 
@@ -352,12 +357,13 @@ class _GaugePhase:
     modulo 2 pi only.  unit() builds exp(i theta) as the product of Nm
     column factors and one factor exp(i Gamma G(omega t + phi_c)) per class
     c of phi mod 2 pi, gathered by a class index made once per instance.
-    Sites share a class when round(phi / 2 pi mod 1, 12) mod 1 agrees (the
-    rounding of dynamics._kick_times), and a class takes the unrounded
-    phi mod 2 pi of its first site.  On a 61 x 61 window sigma = rho = pi
-    gives 2 classes and sigma = -pi/25, rho = pi gives 50; incommensurate
-    sigma, rho give one class per site.  Calling the instance evaluates
-    theta itself and redoes only the time-dependent part.
+    Sites share a class when round(phi / 2 pi mod 1, 12) mod 1 agrees, and
+    a class takes the unrounded phi mod 2 pi of its first site.  On a
+    61 x 61 window sigma = rho = pi gives 2 classes and sigma = -pi/25,
+    rho = pi gives 50; incommensurate sigma, rho give one class per site.
+    The delta-kick train's kick times are read off the same classes
+    (kick_times).  Calling the instance evaluates theta itself and redoes
+    only the time-dependent part.
     """
 
     def __init__(self, drive: DriveSpec, window: LatticeWindow):
@@ -380,6 +386,24 @@ class _GaugePhase:
         key = np.round(np.mod(phi / TWO_PI, 1.0), 12) % 1.0
         _, first, index = np.unique(key, return_index=True, return_inverse=True)
         return np.mod(phi[first], TWO_PI), index.ravel()
+
+    def kick_times(self, t0: float, t1: float) -> np.ndarray:
+        """Sorted times in [t0, t1] at which the delta-kick train kicks some site.
+
+        Site (n, m) is kicked when omega t + phi[n,m] = j pi, j any integer,
+        so class c is kicked at (j + u_c) pi / omega with
+        u_c = round((-phi_c / pi) mod 1, 12) mod 1; classes pi apart share
+        u_c.  A kick within _KICK_GUARD pi / omega of t0 or t1 is included,
+        as G's branches there count it.
+        """
+        phi_c, _ = self.classes
+        s = self._drive.omega / math.pi
+        times = []
+        for u in np.unique(np.round(np.mod(-phi_c / math.pi, 1.0), 12) % 1.0):
+            j_lo = math.ceil(t0 * s - u - _KICK_GUARD)
+            j_hi = math.floor(t1 * s - u + _KICK_GUARD)
+            times.extend((j + u) / s for j in range(j_lo, j_hi + 1))
+        return np.unique(times)
 
     def unit(self, t: float, side: str = "right", out: np.ndarray | None = None) -> np.ndarray:
         """exp(i theta(t)) flattened (i = n*Nm + m), written into out if given."""

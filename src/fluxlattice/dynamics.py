@@ -37,7 +37,10 @@ one tilted (the Wannier-Stark propagator; Hartmann, Keck, Korsch &
 Mossmann, New J. Phys. 6, 2 (2004)).  f is continuous across the kicks,
 which live in the square wave G of theta: a span from one sample to the
 next stops at each kick between them, leaving f with G's post-kick branch
-and returning with the pre-kick one.  Inputs are mapped in with the
+and returning with the pre-kick one.  The kick times are those of
+core._GaugePhase.kick_times, read off the phase classes, and a kick within
+core._KICK_GUARD pi / omega of a span end counts as at that end, the
+coincidence G's branches use.  Inputs are mapped in with the
 pre-kick branch at t_start, so a kick there acts once, and each sample is
 mapped back with the post-kick branch as it is stored.
 """
@@ -58,8 +61,8 @@ from .core import (
     WaveField,
     WaveformKind,
     _GaugePhase,
+    _KICK_GUARD,
     gauge_phase,
-    phase_offsets,
 )
 
 __all__ = [
@@ -288,40 +291,24 @@ def _rk4_span(psi: np.ndarray, t0: float, t1: float, h_cap: float, rhs) -> np.nd
     return psi
 
 
-def _kick_times(drive: DriveSpec, window: LatticeWindow, t0: float,
-                t1: float) -> np.ndarray:
-    """Sorted times in [t0, t1] at which some site of the window is kicked.
-
-    Site (n, m) is kicked at t = (j pi - phi[n,m]) / omega for every integer
-    j, so the sites sharing the fractional part u of -phi/pi share the kick
-    times (j + u) pi / omega.
-    """
-    q = np.round(-phase_offsets(window, drive.sigma, drive.rho).ravel() / math.pi, 12)
-    s = drive.omega / math.pi
-    times = []
-    for u in np.unique(np.round(q % 1.0, 12) % 1.0):
-        j_lo = math.ceil(t0 * s - u - 1e-9)
-        j_hi = math.floor(t1 * s - u + 1e-9)
-        times.extend((j + u) / s for j in range(j_lo, j_hi + 1))
-    return np.unique(times)
-
-
 def _split_span(drive: DriveSpec, window: LatticeWindow, J_x: float,
                 J_y: float, theta: _GaugePhase, kicks: np.ndarray):
     """span(f, t_a, t_b): exact gauge-frame propagation across the kick train.
 
     The span stops at each of the kicks strictly inside (t_a, t_b), a kick
-    within 1e-9 of either end coinciding with that end; each piece between
-    kicks is U_x (x) U_y in the frame of G's branches at its ends.
+    within core._KICK_GUARD pi / omega of either end coinciding with that
+    end, as G's branches there count it; each piece between kicks is
+    U_x (x) U_y in the frame of G's branches at its ends.
     """
     Nn, Nm = window.shape
     lx, vx = np.linalg.eigh(-J_x * (np.eye(Nn, k=1) + np.eye(Nn, k=-1)))
     ly, vy = np.linalg.eigh(np.diag(drive.beta0 + drive.F * window.m_values)
                             - J_y * (np.eye(Nm, k=1) + np.eye(Nm, k=-1)))
     lam = lx[:, None] + ly[None, :]
+    eps = _KICK_GUARD * math.pi / drive.omega
 
     def span(f, t_a, t_b):
-        for t_k in [*kicks[(kicks > t_a + 1e-9) & (kicks < t_b - 1e-9)], t_b]:
+        for t_k in [*kicks[(kicks > t_a + eps) & (kicks < t_b - eps)], t_b]:
             c = (f * theta.unit(t_a, "right").conj()).reshape(Nn, Nm)
             c = vx @ ((vx.T @ c @ vy) * np.exp(-1j * (t_k - t_a) * lam)) @ vy.T
             f, t_a = c.ravel() * theta.unit(t_k, "left"), t_k
@@ -391,7 +378,7 @@ def evolve_full(initial: WaveField, drive: DriveSpec, J_x: float, J_y: float,
 
     if drive.waveform.kind is WaveformKind.DELTA_KICKS:
         span = _split_span(drive, window, J_x, J_y, theta,
-                           _kick_times(drive, window, t_start, float(t[-1])))
+                           theta.kick_times(t_start, float(t[-1])))
     else:
         h = _step_size(drive, J_x, J_y, opts)
         hop = _Hop(window, -J_x, -J_y, scale=-1j)

@@ -31,6 +31,7 @@ from .dynamics import (
     _Hop,
     _neighbor_matrix,
     _rk4_span,
+    _sample_sums,
     _SampleSums,
 )
 from .hopping import EffectiveHoppings, _tail_order, bessel_table
@@ -178,35 +179,15 @@ def expectation_kinematics(field: WaveField, hoppings: EffectiveHoppings) -> Kin
     kappa).  A field factor e^{-i p n} therefore reads out as <Pn> = -p.
     Reported momenta are the arcsin branch in [-pi/2, pi/2].
     """
-    f = field.amplitudes
-    weight = np.abs(f) ** 2
-    norm = float(weight.sum())
-    if norm <= 0.0:
-        raise ValueError("zero-norm field")
-    w = field.window
-    n_mean = float(np.sum(w.n_grid * weight)) / norm
-    m_mean = float(np.sum(w.m_grid * weight)) / norm
-    cx = complex(np.sum(np.conj(f[:-1, :]) * f[1:, :])) / norm
-    peierls = np.exp(1j * hoppings.flux_angle * w.n_values)[:, None]
-    cy = complex(np.sum(peierls * np.conj(f[:, :-1]) * f[:, 1:])) / norm
-    sin_pn, sin_pm = cx.imag, cy.imag
-    state = SemiclassicalState(
-        n_mean, m_mean,
-        math.asin(min(1.0, max(-1.0, sin_pn))),
-        math.asin(min(1.0, max(-1.0, sin_pm))),
-    )
-    return Kinematics(
-        state=state,
-        v_n=2.0 * (hoppings.kappa_x * cx).imag,
-        v_m=2.0 * (hoppings.kappa_y * cy).imag,
-        sin_Pn=sin_pn,
-        sin_Pm=sin_pm,
-    )
+    table = _kinematics(_sample_sums(field.amplitudes[None]), field.window, hoppings)
+    n_mean, m_mean, pn, pm, sin_pn, sin_pm, v_n, v_m = table[0].tolist()
+    return Kinematics(SemiclassicalState(n_mean, m_mean, pn, pm),
+                      v_n, v_m, sin_pn, sin_pm)
 
 
 def _kinematics(sums: _SampleSums, window: LatticeWindow,
                 hoppings: EffectiveHoppings) -> np.ndarray:
-    """expectation_kinematics of every sample, to rounding, from their sums.
+    """Kinematics of every sample from their sums; expectation_kinematics reads row 0.
 
     Columns: n_mean, m_mean, Pn, Pm, sin_Pn, sin_Pm, v_n, v_m; one row per
     sample.  The Peierls phase meets the per-row correlators in one product.

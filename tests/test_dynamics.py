@@ -23,7 +23,7 @@ from fluxlattice import (
     smoothed_delta_train,
 )
 from fluxlattice import dynamics
-from fluxlattice.core import _GaugePhase, beta_site, gauge_phase
+from fluxlattice.core import _KICK_GUARD, _GaugePhase, beta_site, gauge_phase
 from fluxlattice.dynamics import _Hop, _neighbor_matrix
 
 PI = math.pi
@@ -246,6 +246,33 @@ def test_unit_phase_matches_gauge_phase(waveform, sigma, rho, classes):
             assert err <= 1e-15 * (1.0 + np.max(np.abs(ref)))
 
 
+@pytest.mark.parametrize("sigma, rho", [(PI, PI), (-PI / 25, PI),
+                                        (3.0, math.sqrt(2.0)), (PI / 2, PI / 3)],
+                         ids=["pi_pi", "fig2", "incommensurate", "sixths"])
+@pytest.mark.parametrize("omega", [8.0, 20.0])
+def test_kick_times_match_a_per_site_brute_force(sigma, rho, omega):
+    # site (n, m) kicks at (j pi - phi[n,m]) / omega; the class rule must
+    # give each of these times once, and no two kick times closer than the
+    # guard, which would apply one kick twice
+    w = LatticeWindow(-4, 5, -3, 6)
+    d = DriveSpec.resonant(omega=omega, Gamma=0.717, M=1, sigma=sigma, rho=rho,
+                           waveform=Waveform.delta_kicks(), beta0=0.25)
+    t0, t1 = -0.3, 2.0
+    brute = []
+    for n in w.n_values:
+        for m in w.m_values:
+            phi = n * sigma + m * rho
+            j = np.arange(math.ceil((t0 * omega + phi) / PI),
+                          math.floor((t1 * omega + phi) / PI) + 1)
+            brute.extend((j * PI - phi) / omega)
+    brute = np.sort(brute)
+    brute = brute[np.concatenate([[True], np.diff(brute) > 1e-12])]
+    kicks = _GaugePhase(d, w).kick_times(t0, t1)
+    assert kicks.shape == brute.shape
+    np.testing.assert_allclose(kicks, brute, rtol=0, atol=1e-12)
+    assert np.min(np.diff(kicks)) > _KICK_GUARD * PI / omega
+
+
 # -- delta-kick engine -----------------------------------------------------------
 
 def test_kick_phase_pattern_no_hopping():
@@ -361,6 +388,32 @@ def test_kicked_run_is_exact():
             other = evolve_full(c0, d, J_x, J_y, ts, IntegratorOptions(dt_max=dt_max),
                                 t_start=t_start)
             np.testing.assert_array_equal(other.amplitudes, traj.amplitudes)
+
+
+def test_a_kick_near_a_sample_or_t_start_acts_once():
+    # single site, phi = 0, no hopping: c(t) = exp(-i [theta_right(t) -
+    # theta_left(t_start)]).  The site kicks at every j pi / omega; a sample
+    # delta before the kick at pi / omega, or a t_start delta before the one
+    # at 0, sits inside or outside the kick guard of 1e-9 pi / omega, and
+    # for omega != pi a guard in seconds lost or doubled the kick there
+    w = LatticeWindow(0, 0, 0, 0)
+    c0 = WaveField(w, np.ones((1, 1)))
+    deltas = (0.0, 1e-10, -1e-10, 5e-10, -5e-10, 9e-10, -9e-10, 2e-9, -2e-9)
+    cases = [(omega, np.array([PI / omega - delta, 1.5 * PI / omega]), 0.0)
+             for omega in (1.0, 20.0, 40.0, 300.0) for delta in deltas]
+    cases += [(omega, np.array([0.5 * PI / omega]), -delta)
+              for omega in (1.0, 20.0, 40.0)
+              for delta in (1e-10, 5e-10, 9e-10, 2e-9, 5e-9)]
+    failed = []
+    for omega, ts, t_start in cases:
+        d = _delta(omega=omega, Gamma=0.7)
+        traj = evolve_full(c0, d, 0.0, 0.0, ts, t_start=t_start)
+        theta0 = gauge_phase(d, w, t_start, "left")
+        expect = [np.exp(-1j * (gauge_phase(d, w, t, "right") - theta0)) for t in ts]
+        err = float(np.max(np.abs(traj.amplitudes - np.array(expect))))
+        if err > 1e-12:
+            failed.append((omega, ts.tolist(), t_start, err))
+    assert not failed, failed
 
 
 def test_delta_kicks_converge_to_smoothed_drive():

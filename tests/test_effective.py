@@ -205,6 +205,31 @@ def test_expectation_kinematics_rejects_zero_field():
         expectation_kinematics(WaveField(w, np.zeros((3, 3))), h)
 
 
+@pytest.mark.parametrize("window", [LatticeWindow(2, 2, -1, -1),
+                                    LatticeWindow(3, 3, -2, 2),
+                                    LatticeWindow(-2, 2, 1, 1)],
+                         ids=["1x1", "1x5", "5x1"])
+def test_expectation_kinematics_on_windows_without_links(window):
+    # a 1 x Nm window has no x-links and an Nn x 1 one no y-links
+    h = EffectiveHoppings(0.8 + 0.3j, 1.1 - 0.4j, alpha=0.7 / (2.0 * PI), M=1,
+                          sigma=0.7, rho=PI)
+    rng = np.random.default_rng(5)
+    f = rng.normal(size=window.shape) + 1j * rng.normal(size=window.shape)
+    n, m = window.n_grid, window.m_grid
+    weight = np.abs(f) ** 2
+    norm = weight.sum()
+    cx = np.sum(np.conj(f[:-1, :]) * f[1:, :]) / norm
+    cy = np.sum(np.exp(0.7j * n) * np.conj(f[:, :-1]) * f[:, 1:]) / norm
+    k = expectation_kinematics(WaveField(window, f), h)
+    np.testing.assert_allclose(
+        [k.state.n_mean, k.state.m_mean, k.state.Pn_mean, k.state.Pm_mean,
+         k.sin_Pn, k.sin_Pm, k.v_n, k.v_m],
+        [np.sum(n * weight) / norm, np.sum(m * weight) / norm,
+         math.asin(cx.imag), math.asin(cy.imag), cx.imag, cy.imag,
+         2.0 * (h.kappa_x * cx).imag, 2.0 * (h.kappa_y * cy).imag],
+        rtol=0.0, atol=1e-14)
+
+
 def test_ehrenfest_velocities_match_com_motion():
     h = _fig_hoppings()
     w = LatticeWindow.centered(12)

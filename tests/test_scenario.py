@@ -236,6 +236,22 @@ def test_sample_step_overflow_fails_validation():
         scenario_from_sections(sections)
 
 
+def test_kicked_profiles_do_not_hinge_on_the_last_digits_of_dt_sample():
+    # dt_sample = pi/20 written to 10 digits puts each sample within about
+    # 1e-9 of a kick at omega = 20; the kick must act once either way
+    profiles = []
+    for dt in ("0.1570796327", "pi/20"):
+        sections = _evolve_sections("full_evolve")
+        sections["drive"].update(waveform="delta_kicks", omega="20")
+        sections["lattice"] = {"n_half": "6"}
+        sections["input"] = {"width": "2", "imprint": "true"}
+        sections["time"] = {"t_max": "7.6", "dt_sample": dt}
+        _, tables = fluxlattice.runner._run_full(scenario_from_sections(sections))
+        profiles.append(tables["profile"][1])
+    assert profiles[0].shape == profiles[1].shape
+    np.testing.assert_allclose(profiles[0], profiles[1], rtol=0.0, atol=1e-8)
+
+
 # -- CSV writer and the kinematics table ---------------------------------------------
 
 def _savetxt_bytes(path, header, table, fmt="%.12g"):
