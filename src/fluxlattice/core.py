@@ -405,6 +405,12 @@ class _GaugePhase:
             times.extend((j + u) / s for j in range(j_lo, j_hi + 1))
         return np.unique(times)
 
+    def kick(self, t0: float, t1: float) -> np.ndarray:
+        """exp(-i Gamma [G(omega t1 + phi) - G(omega t0 + phi)]) flattened: the kicks in (t0, t1]."""
+        d, (phi_c, index) = self._drive, self.classes
+        g0, g1 = (d.waveform.antiderivative(d.omega * t + phi_c) for t in (t0, t1))
+        return _cis(d.Gamma * (g0 - g1)).take(index)
+
     def unit(self, t: float, side: str = "right", out: np.ndarray | None = None) -> np.ndarray:
         """exp(i theta(t)) flattened (i = n*Nm + m), written into out if given."""
         d = self._drive

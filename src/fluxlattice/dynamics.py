@@ -36,13 +36,13 @@ static, so U = U_x (x) U_y is exact from one eigh of each chain, the Nm
 one tilted (the Wannier-Stark propagator; Hartmann, Keck, Korsch &
 Mossmann, New J. Phys. 6, 2 (2004)).  f is continuous across the kicks,
 which live in the square wave G of theta: a span from one sample to the
-next stops at each kick between them, leaving f with G's post-kick branch
-and returning with the pre-kick one.  The kick times are those of
-core._GaugePhase.kick_times, read off the phase classes, and a kick within
+next maps f to the lab frame once, stops at each kick between them, and
+applies there the kicks since the last stop as one on-site phase from
+G's post-kick branches, which telescope, so each kick acts once.  The
+kick times are those of core._GaugePhase.kick_times, and a kick within
 core._KICK_GUARD pi / omega of a span end counts as at that end, the
-coincidence G's branches use.  Inputs are mapped in with the
-pre-kick branch at t_start, so a kick there acts once, and each sample is
-mapped back with the post-kick branch as it is stored.
+coincidence G's branches use.  Inputs are mapped in with the pre-kick
+branch at t_start, so the first span applies a kick there once.
 """
 
 from __future__ import annotations
@@ -295,10 +295,10 @@ def _split_span(drive: DriveSpec, window: LatticeWindow, J_x: float,
                 J_y: float, theta: _GaugePhase, kicks: np.ndarray):
     """span(f, t_a, t_b): exact gauge-frame propagation across the kick train.
 
-    The span stops at each of the kicks strictly inside (t_a, t_b), a kick
-    within core._KICK_GUARD pi / omega of either end coinciding with that
-    end, as G's branches there count it; each piece between kicks is
-    U_x (x) U_y in the frame of G's branches at its ends.
+    It maps f to the lab frame once and stops at each kick strictly inside
+    (t_a, t_b), a kick within core._KICK_GUARD pi / omega of an end
+    coinciding with that end; each piece is U_x (x) U_y, and each stop
+    applies the kicks since the last one as one phase (_GaugePhase.kick).
     """
     Nn, Nm = window.shape
     lx, vx = np.linalg.eigh(-J_x * (np.eye(Nn, k=1) + np.eye(Nn, k=-1)))
@@ -308,11 +308,11 @@ def _split_span(drive: DriveSpec, window: LatticeWindow, J_x: float,
     eps = _KICK_GUARD * math.pi / drive.omega
 
     def span(f, t_a, t_b):
+        c = (f * theta.unit(t_a).conj()).reshape(Nn, Nm)
         for t_k in [*kicks[(kicks > t_a + eps) & (kicks < t_b - eps)], t_b]:
-            c = (f * theta.unit(t_a, "right").conj()).reshape(Nn, Nm)
             c = vx @ ((vx.T @ c @ vy) * np.exp(-1j * (t_k - t_a) * lam)) @ vy.T
-            f, t_a = c.ravel() * theta.unit(t_k, "left"), t_k
-        return f
+            c, t_a = c * theta.kick(t_a, t_k).reshape(Nn, Nm), t_k
+        return c.ravel() * theta.unit(t_b)
     return span
 
 

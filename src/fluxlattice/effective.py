@@ -58,7 +58,7 @@ def _effective_links(window: LatticeWindow, hoppings: EffectiveHoppings):
 
 
 def effective_matrix(window: LatticeWindow, hoppings: EffectiveHoppings):
-    """Static effective Hamiltonian on the flattened window (scipy CSR)."""
+    """Static effective Hamiltonian on the flattened window (scipy CSR); needs scipy."""
     return _neighbor_matrix(window, *_effective_links(window, hoppings))
 
 

@@ -15,9 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import DriveSpec, TWO_PI, WaveField
+from .core import DriveSpec, TWO_PI, _GaugePhase
 from .dynamics import Trajectory
-from .effective import gauge_unmap
 
 __all__ = [
     "FringeRecord",
@@ -167,7 +166,8 @@ def model_deviation(full: Trajectory, effective: Trajectory,
     and the times must be integer multiples of the drive period (the
     averaged model reproduces the exact one stroboscopically).  The modulus
     mismatch is gauge-free; the infidelity maps f back to the driven frame
-    first and is invariant under global phases of either input.
+    first, as evolve_full stores its samples, and is invariant under global
+    phases of either input.  It normalizes by the recorded Trajectory.norms.
     """
     if full.window != effective.window:
         raise ValueError("trajectories live on different windows")
@@ -179,18 +179,12 @@ def model_deviation(full: Trajectory, effective: Trajectory,
     cycles = tf / period
     if np.max(np.abs(cycles - np.round(cycles))) > 1e-6:
         raise ValueError("sample times must be integer multiples of 2*pi/omega")
-    max_abs = np.empty(tf.size)
-    infid = np.empty(tf.size)
-    for i, t in enumerate(tf):
-        c = full.amplitudes[i]
-        f = effective.amplitudes[i]
-        max_abs[i] = float(np.max(np.abs(np.abs(c) - np.abs(f))))
-        mapped = gauge_unmap(WaveField(effective.window, f), float(t),
-                             drive).amplitudes
-        nc = float(np.sum(np.abs(c) ** 2))
-        nf = float(np.sum(np.abs(f) ** 2))
-        if nc <= 0.0 or nf <= 0.0:
-            raise ValueError("zero-norm field in deviation comparison")
-        overlap = complex(np.vdot(mapped, c))
-        infid[i] = 1.0 - (abs(overlap) ** 2) / (nc * nf)
+    if np.any(full.norms <= 0.0) or np.any(effective.norms <= 0.0):
+        raise ValueError("zero-norm field in deviation comparison")
+    c, f = (tr.amplitudes.reshape(tf.size, -1) for tr in (full, effective))
+    max_abs = np.max(np.abs(np.abs(c) - np.abs(f)), axis=1)
+    theta = _GaugePhase(drive, full.window)
+    overlap = np.array([np.vdot(fi * theta.unit(t).conj(), ci)
+                        for t, ci, fi in zip(tf, c, f)])
+    infid = 1.0 - np.abs(overlap) ** 2 / (full.norms * effective.norms)
     return ModelDeviation(times=tf, max_abs=max_abs, infidelity=infid)

@@ -416,6 +416,22 @@ def test_a_kick_near_a_sample_or_t_start_acts_once():
     assert not failed, failed
 
 
+@pytest.mark.parametrize("Nm, rho", [(2, 5e-10 * PI), (2, 5e-9 * PI),
+                                     (3, 6e-10 * PI), (4, 4e-10 * PI)])
+def test_near_coincident_kicks_act_once(Nm, rho):
+    # on a 1 x Nm window with phi = m rho, the sites kick within the guard of
+    # their neighbours near pi / omega, yet each kick time stays distinct; a
+    # stop that counted a neighbour's kick early must not count it again.
+    # No hopping: c(t) = c0 exp(-i [theta_right(t) - theta_left(t_start)])
+    w = LatticeWindow(0, 0, 0, Nm - 1)
+    d = _delta(omega=20.0, Gamma=0.7, M=0, sigma=0.0, rho=rho)
+    c0 = WaveField(w, np.ones(w.shape) / math.sqrt(Nm))
+    traj = evolve_full(c0, d, 0.0, 0.0, [0.2], t_start=0.1)
+    expect = c0.amplitudes * np.exp(-1j * (gauge_phase(d, w, 0.2, "right")
+                                           - gauge_phase(d, w, 0.1, "left")))
+    np.testing.assert_allclose(traj.amplitudes[0], expect, rtol=0, atol=1e-12)
+
+
 def test_delta_kicks_converge_to_smoothed_drive():
     # same run with kicks replaced by narrow smooth pulses; samples mid-gap,
     # moduli compared (the two runs differ by a global phase)

@@ -13,13 +13,17 @@ from fluxlattice import (
     FringeRecord,
     LatticeWindow,
     Trajectory,
+    WaveField,
     Waveform,
     central_columns,
     com_path,
     evolve_effective,
     evolve_full,
     fringe_visibility,
+    gauge_map,
+    gauge_unmap,
     gaussian_input,
+    hoppings_from_drive,
     model_deviation,
     revival_period,
     vertical_profile,
@@ -253,6 +257,40 @@ def test_model_deviation_ignores_global_phase():
     dev = model_deviation(ta, tb, d)
     assert dev.peak < 1e-12
     assert dev.infidelity[0] < 1e-12
+
+
+@pytest.mark.parametrize("waveform", [Waveform.sinusoidal(), Waveform.delta_kicks()],
+                         ids=["sinusoidal", "delta_kicks"])
+def test_model_deviation_matches_the_per_sample_formula(waveform):
+    # the stacked max_abs and the recorded norms against the per-sample
+    # loop with gauge_unmap and norms of its own
+    w = LatticeWindow.centered(4)
+    d = DriveSpec.resonant(omega=20.0, Gamma=0.717, M=1, sigma=PI, rho=PI,
+                           waveform=waveform)
+    c0 = gaussian_input(w, 2.0, drive=d, imprint=True)
+    ts = np.arange(1, 4) * d.period
+    full = evolve_full(c0, d, 1.0, 1.0, ts)
+    eff = evolve_effective(gauge_map(c0, 0.0, d, side="left"),
+                           hoppings_from_drive(d, 1.0, 1.0), ts)
+    dev = model_deviation(full, eff, d)
+    for i, t in enumerate(ts):
+        c, f = full.amplitudes[i], eff.amplitudes[i]
+        assert dev.max_abs[i] == np.max(np.abs(np.abs(c) - np.abs(f)))
+        mapped = gauge_unmap(WaveField(w, f), t, d).amplitudes
+        infid = 1.0 - abs(np.vdot(mapped, c)) ** 2 / (np.sum(np.abs(c) ** 2)
+                                                     * np.sum(np.abs(f) ** 2))
+        assert abs(dev.infidelity[i] - infid) <= 1e-14
+
+
+def test_model_deviation_rejects_a_zero_norm_sample():
+    d = _static_drive()
+    w = LatticeWindow.centered(2)
+    ts = [d.period, 2 * d.period]
+    ones = _trajectory_from_amps(w, ts, [np.ones(w.shape)] * 2)
+    gone = _trajectory_from_amps(w, ts, [np.ones(w.shape), np.zeros(w.shape)])
+    for a, b in ((ones, gone), (gone, ones)):
+        with pytest.raises(ValueError, match="zero-norm"):
+            model_deviation(a, b, d)
 
 
 def test_model_deviation_input_validation():
