@@ -22,7 +22,7 @@ import copy
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
 
 from .core import DriveSpec, LatticeWindow, Waveform
@@ -67,7 +67,7 @@ _SECTION_KEYS = {
     "lattice": {"n_half", "m_half"},
     "input": {"width", "tilt", "imprint"},
     "time": {"t_max", "dt_sample", "stroboscopic", "t_start"},
-    "integrator": {"dt_max", "norm_drift_tol", "edge_mass_tol"},
+    "integrator": {f.name for f in dataclass_fields(IntegratorOptions)},
     "output": {"fields", "profile", "com"},
     "spectrum": {"flux", "k_grid"},
     "compare": {"omegas"},
@@ -346,9 +346,8 @@ def scenario_from_sections(sections: dict) -> Scenario:
             raise ValidationError("semiclassical runs start at t = 0")
 
     if "integrator" in sections:
-        read("integrator", "dt_max", parse_real, None)
-        read("integrator", "norm_drift_tol", parse_real, 1e-8)
-        read("integrator", "edge_mass_tol", parse_real, 1e-6)
+        for f in dataclass_fields(IntegratorOptions):
+            read("integrator", f.name, parse_real, f.default)
 
     if "output" in allowed:
         fields["out_fields"] = read("output", "fields", parse_bool, False)

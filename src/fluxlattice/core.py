@@ -356,11 +356,10 @@ class _GaugePhase:
     and G repeats with period 2 pi, so the drive part depends on phi[n,m]
     modulo 2 pi only.  unit() builds exp(i theta) as the product of Nm
     column factors and one factor exp(i Gamma G(omega t + phi_c)) per class
-    c of phi mod 2 pi, gathered by a class index made once per instance.
-    Sites share a class when round(phi / 2 pi mod 1, 12) mod 1 agrees, and
-    a class takes the unrounded phi mod 2 pi of its first site.  On a
-    61 x 61 window sigma = rho = pi gives 2 classes and sigma = -pi/25,
-    rho = pi gives 50; incommensurate sigma, rho give one class per site.
+    c of phi mod 2 pi (phi / 2 pi mod 1 equal to 12 digits), gathered by a
+    class index made once per instance.  On a 61 x 61 window sigma = rho =
+    pi gives 2 classes and sigma = -pi/25, rho = pi gives 50; incommensurate
+    sigma, rho give one class per site.
     The delta-kick train's kick times are read off the same classes
     (kick_times).  Calling the instance evaluates theta itself and redoes
     only the time-dependent part.
@@ -391,19 +390,21 @@ class _GaugePhase:
         """Sorted times in [t0, t1] at which the delta-kick train kicks some site.
 
         Site (n, m) is kicked when omega t + phi[n,m] = j pi, j any integer,
-        so class c is kicked at (j + u_c) pi / omega with
-        u_c = round((-phi_c / pi) mod 1, 12) mod 1; classes pi apart share
-        u_c.  A kick within _KICK_GUARD pi / omega of t0 or t1 is included,
-        as G's branches there count it.
+        so class c is kicked at (j + u_c) pi / omega, u_c = (-phi_c / pi) mod 1.
+        A kick within _KICK_GUARD pi / omega of t0 or t1 is included, as G's
+        branches there count it; one within it before a later kept time is
+        dropped, as G's right branch counts it wherever it counts that time.
         """
-        phi_c, _ = self.classes
         s = self._drive.omega / math.pi
-        times = []
-        for u in np.unique(np.round(np.mod(-phi_c / math.pi, 1.0), 12) % 1.0):
+        times, kept = [], []
+        for u in np.mod(-self.classes[0] / math.pi, 1.0):
             j_lo = math.ceil(t0 * s - u - _KICK_GUARD)
             j_hi = math.floor(t1 * s - u + _KICK_GUARD)
             times.extend((j + u) / s for j in range(j_lo, j_hi + 1))
-        return np.unique(times)
+        for t in sorted(times, reverse=True):
+            if not kept or t < kept[-1] - _KICK_GUARD / s:
+                kept.append(t)
+        return np.array(kept[::-1])
 
     def kick(self, t0: float, t1: float) -> np.ndarray:
         """exp(-i Gamma [G(omega t1 + phi) - G(omega t0 + phi)]) flattened: the kicks in (t0, t1]."""

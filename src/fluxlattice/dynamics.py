@@ -36,13 +36,13 @@ static, so U = U_x (x) U_y is exact from one eigh of each chain, the Nm
 one tilted (the Wannier-Stark propagator; Hartmann, Keck, Korsch &
 Mossmann, New J. Phys. 6, 2 (2004)).  f is continuous across the kicks,
 which live in the square wave G of theta: a span from one sample to the
-next maps f to the lab frame once, stops at each kick between them, and
-applies there the kicks since the last stop as one on-site phase from
-G's post-kick branches, which telescope, so each kick acts once.  The
-kick times are those of core._GaugePhase.kick_times, and a kick within
-core._KICK_GUARD pi / omega of a span end counts as at that end, the
-coincidence G's branches use.  Inputs are mapped in with the pre-kick
-branch at t_start, so the first span applies a kick there once.
+next maps f to the lab frame once, stops at each kick time between them
+(core._GaugePhase.kick_times: kicks within core._KICK_GUARD pi / omega
+of each other are one time, and one within it of a span end is at that
+end, as in G's branches), and applies there the kicks since the last
+stop as one on-site phase from G's post-kick branches, which telescope,
+so each kick acts once.  Inputs are mapped in with the pre-kick branch
+at t_start, so the first span applies a kick there once.
 """
 
 from __future__ import annotations

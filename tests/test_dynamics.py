@@ -432,6 +432,67 @@ def test_near_coincident_kicks_act_once(Nm, rho):
     np.testing.assert_allclose(traj.amplitudes[0], expect, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("Nm, rho, kept", [(2, 5e-10 * PI, 1), (3, 6e-10 * PI, 2),
+                                           (4, 4e-10 * PI, 2)])
+def test_kick_times_within_the_guard_are_one_stop(Nm, rho, kept):
+    # every site kick lies at most the guard before a kept time (up to
+    # roundoff), and kept times lie more than the guard apart
+    d = _delta(omega=20.0, Gamma=0.7, M=0, sigma=0.0, rho=rho)
+    kicks = _GaugePhase(d, LatticeWindow(0, 0, 0, Nm - 1)).kick_times(0.1, 0.2)
+    guard = _KICK_GUARD * PI / d.omega
+    assert kicks.size == kept
+    assert np.all(np.diff(kicks) > guard)
+    site_kicks = (PI - np.arange(Nm) * rho) / d.omega
+    lead = kicks[np.searchsorted(kicks, site_kicks - 1e-15)] - site_kicks
+    assert np.all((lead >= -1e-15) & (lead <= guard))
+
+
+def test_kicked_span_stops_once_per_kept_time(monkeypatch):
+    d = _delta(omega=20.0, Gamma=0.7, M=0, sigma=0.0, rho=4e-10 * PI)
+    w = LatticeWindow(0, 0, 0, 3)
+    stops = []
+    kick = _GaugePhase.kick
+
+    def spy(self, t0, t1):
+        stops.append(t1)
+        return kick(self, t0, t1)
+
+    monkeypatch.setattr(_GaugePhase, "kick", spy)
+    evolve_full(WaveField(w, np.ones(w.shape) / 2.0), d, 0.0, 1.0, [0.2], t_start=0.1)
+    assert stops == [*_GaugePhase(d, w).kick_times(0.1, 0.2), 0.2]
+
+
+@pytest.mark.parametrize("offset", [-1.5, -0.5, 0.5])
+def test_kicks_merged_near_a_span_end_act_on_time(offset):
+    # 1 x 2 chain, J_y = 1: site 1 kicks at k, site 0 at k + 0.8 guard, each by
+    # exp(i Gamma). With a span end (t_start or a sample) at k + offset guard,
+    # each kick must still act within about a guard of its time, never at the
+    # next stop.
+    omega, Gamma = 20.0, 0.7
+    guard = _KICK_GUARD * PI / omega
+    d = _delta(omega=omega, Gamma=Gamma, M=0, sigma=0.0, rho=0.8e-9 * PI)
+    w = LatticeWindow(0, 0, 0, 1)
+    k = (PI - d.rho) / omega
+    t_end = k + 0.15
+
+    def hop(c, t):  # exp(-i H t) with H = -sigma_x
+        return np.cos(t) * c + 1j * np.sin(t) * c[::-1]
+
+    def exact(t0):
+        c = hop(np.array([1.0, 0.0]), max(k - t0, 0.0))
+        c = hop(c * [1.0, np.exp(1j * Gamma)], 0.8 * guard)
+        return hop(c * [np.exp(1j * Gamma), 1.0], t_end - max(k, t0) - 0.8 * guard)
+
+    c0 = WaveField(w, np.array([[1.0, 0.0]]))
+    t_edge = k + offset * guard
+    from_edge = evolve_full(c0, d, 0.0, 1.0, [t_end], t_start=t_edge)
+    via_edge = evolve_full(c0, d, 0.0, 1.0, [t_edge, t_end], t_start=k - 0.05)
+    np.testing.assert_allclose(from_edge.amplitudes[-1].ravel(), exact(t_edge),
+                               rtol=0, atol=1e-9)
+    np.testing.assert_allclose(via_edge.amplitudes[-1].ravel(), exact(k - 0.05),
+                               rtol=0, atol=1e-9)
+
+
 def test_delta_kicks_converge_to_smoothed_drive():
     # same run with kicks replaced by narrow smooth pulses; samples mid-gap,
     # moduli compared (the two runs differ by a global phase)
