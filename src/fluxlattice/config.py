@@ -243,8 +243,10 @@ def _text(value) -> str:
 
 _REQUIRED = object()
 
-# largest amplitude array a run may hold at once, in bytes (16 per site and
-# sample; a compare run holds two trajectories)
+# largest amplitude output a run may produce, in bytes (16 per site and
+# sample; a compare run produces two trajectories).  Runner runs stream
+# their samples and hold at most one of them or one Chebyshev block; only
+# an API caller that keeps the amplitudes stores them all.
 _TRAJECTORY_BYTES_MAX = 2 ** 32
 
 

@@ -24,8 +24,17 @@ explicit RK4 below norm_drift_tol * J * (t - t_start); drift is budgeted,
 not corrected, and every trajectory records the norms of the samples it
 returns so the budget can be audited after the fact.
 
+Each propagator makes its samples one at a time (evolve_effective one
+Chebyshev block at a time) and hands each to one reducer, _Run, which
+reads it once: its norm and edge-ring mass, and, as the caller's keep
+asks, its _SampleSums row or a copy into the (T, Nn, Nm) stack.  Runner
+runs keep no stack, so they hold at most one sample or one block; only
+API callers that keep the amplitudes (the default) store them all.  The
+trajectory cap of config still counts the bytes a run produces, and
+validate still exits 3 on it.
+
 Every exp(+-i theta) of a run (RK4 stages, the input at t_start, each
-stored sample, each kick span) is core._GaugePhase.unit: Nm column factors
+returned sample, each kick span) is core._GaugePhase.unit: Nm column factors
 times one factor per class of phi mod 2 pi, so a time costs Nm + K cos/sin
 pairs for K classes (2 at sigma = rho = pi) instead of N.  The RK4 stages
 run in buffers made once per span, and e(t) is kept from one stage time to
@@ -100,21 +109,26 @@ class IntegratorOptions:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Sampled evolution: times, amplitudes, and the monitoring record.
+    """Sampled evolution: times, the monitoring record, the final field, and
+    every amplitude when the run kept them.
 
-    ``amplitudes`` is one read-only complex array of shape (T, Nn, Nm):
-    row i is the field on ``window`` at ``times[i]``.  Wrap a single row as
+    ``amplitudes`` is one read-only complex array of shape (T, Nn, Nm), row
+    i the field on ``window`` at ``times[i]``, or None when the run kept no
+    stack (evolve_* with keep="sums" or keep="final", as runner runs do).
+    ``final`` is the last sample, (Nn, Nm), kept either way.  Wrap a row as
     ``WaveField(traj.window, traj.amplitudes[i])`` where a field is needed.
-    The profile, center-of-mass and kinematics outputs read ``_sums``, one
-    pass over the samples taken when the first of them asks.
+    The profile, center-of-mass and kinematics outputs read ``_sums``:
+    filled as the samples were made (keep="sums"), or one pass over the
+    kept amplitudes taken when the first of them asks.
     """
 
     times: np.ndarray
     window: LatticeWindow
-    amplitudes: np.ndarray
+    amplitudes: np.ndarray | None
     norms: np.ndarray
     edge_mass_max: float
     truncation_warning: bool
+    final: np.ndarray | None = None
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -122,31 +136,66 @@ class Trajectory:
             raise ValueError("times must be a 1-d sequence")
         if t.size > 1 and np.any(np.diff(t) <= 0.0):
             raise ValueError("times must be strictly increasing")
-        amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
-        if amps.shape != (t.size,) + self.window.shape:
-            raise ValueError(f"amplitudes shape {amps.shape} != "
-                             f"{(t.size,) + self.window.shape} (samples, window)")
+        amps, final = self.amplitudes, self.final
+        if amps is not None:
+            amps = np.ascontiguousarray(amps, dtype=np.complex128)
+            if amps.shape != (t.size,) + self.window.shape:
+                raise ValueError(f"amplitudes shape {amps.shape} != "
+                                 f"{(t.size,) + self.window.shape} (samples, window)")
+            final = amps[-1] if final is None else final
+        if final is None:
+            raise ValueError("a trajectory keeps its amplitudes or its final field")
+        final = np.ascontiguousarray(final, dtype=np.complex128)
+        if final.shape != self.window.shape:
+            raise ValueError(f"final shape {final.shape} != window shape {self.window.shape}")
         norms = np.array(self.norms, dtype=float)
         if norms.shape != t.shape:
             raise ValueError(f"norms shape {norms.shape} != {t.shape} (samples)")
-        for arr in (t, amps, norms):
-            arr.setflags(write=False)
+        for arr in (t, amps, final, norms):
+            if arr is not None:
+                arr.setflags(write=False)
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "final", final)
         object.__setattr__(self, "norms", norms)
 
-    @cached_property  # written straight into the instance __dict__
+    @cached_property  # written straight into the instance __dict__, as _Run does
     def _sums(self) -> _SampleSums:
+        if self.amplitudes is None:
+            raise ValueError("the trajectory kept neither its amplitudes nor their "
+                             "sums: evolve with keep='amplitudes' or keep='sums'")
         return _sample_sums(self.amplitudes)
 
 
 class _SampleSums(NamedTuple):
-    """Per-sample sums of |f|^2 and of the link correlators, read-only."""
+    """Per-sample sums of |f|^2 and of the link correlators."""
 
     rows: np.ndarray    # (T, Nn): sum_m |f[n,m]|^2, the profile I_n
     cols: np.ndarray    # (T, Nm): sum_n |f[n,m]|^2
     link_x: np.ndarray  # (T,): sum f*[n,m] f[n+1,m]
     link_y: np.ndarray  # (T, Nn): sum_m f*[n,m] f[n,m+1], before any Peierls phase
+
+    @classmethod
+    def empty(cls, T: int, shape: tuple[int, int]) -> _SampleSums:
+        Nn, Nm = shape
+        return cls(np.empty((T, Nn)), np.empty((T, Nm)),
+                   np.empty(T, dtype=complex), np.empty((T, Nn), dtype=complex))
+
+    def add(self, i: int, f: np.ndarray, w: np.ndarray) -> None:
+        """Row i from sample f (Nn, Nm); w is an (Nn, Nm) float scratch array."""
+        Nm = f.shape[1]
+        np.square(np.abs(f, out=w), out=w)
+        w.sum(axis=1, out=self.rows[i])
+        w.sum(axis=0, out=self.cols[i])
+        flat = f.ravel()
+        self.link_x[i] = np.vdot(flat[:-Nm], flat[Nm:])
+        # row n as a (1, Nm-1) @ (Nm-1, 1) product: faster than einsum
+        self.link_y[i] = (f[:, None, :-1].conj() @ f[:, 1:, None])[:, 0, 0]
+
+    def frozen(self) -> _SampleSums:
+        for a in self:  # shared by every reader of the trajectory
+            a.setflags(write=False)
+        return self
 
     def com(self, window: LatticeWindow):
         """Norms (T,) and centers of mass (<n>, <m>) (T, 2) of the samples."""
@@ -164,21 +213,77 @@ def _sample_sums(amps: np.ndarray) -> _SampleSums:
     A loop over samples keeps every temporary sample-sized; whole-array
     and chunked forms of the same sums measured slower.
     """
-    T, Nn, Nm = amps.shape
-    sums = _SampleSums(np.empty((T, Nn)), np.empty((T, Nm)),
-                       np.empty(T, dtype=complex), np.empty((T, Nn), dtype=complex))
-    w = np.empty((Nn, Nm))
+    sums = _SampleSums.empty(len(amps), amps.shape[1:])
+    w = np.empty(amps.shape[1:])
     for i, f in enumerate(amps):
-        np.square(np.abs(f, out=w), out=w)
-        w.sum(axis=1, out=sums.rows[i])
-        w.sum(axis=0, out=sums.cols[i])
-        flat = f.ravel()
-        sums.link_x[i] = np.vdot(flat[:-Nm], flat[Nm:])
-        # row n as a (1, Nm-1) @ (Nm-1, 1) product: faster than einsum
-        sums.link_y[i] = (f[:, None, :-1].conj() @ f[:, 1:, None])[:, 0, 0]
-    for a in sums:  # shared by every reader of the trajectory
-        a.setflags(write=False)
-    return sums
+        sums.add(i, f, w)
+    return sums.frozen()
+
+
+_KEEP = ("amplitudes", "sums", "final")  # what a Trajectory keeps beyond its audit
+
+
+class _Run:
+    """One pass over a propagator's samples, each reduced as it is made.
+
+    ``samples`` yields the flat samples in time order; each may be a view
+    that the next overwrites.  Iterating the run hands each sample on after
+    recording its norm and edge-ring mass (the audit of every Trajectory)
+    and, as ``keep`` asks, its _SampleSums row or a copy into the
+    (T, Nn, Nm) stack; the last sample is copied as the final field.  So a
+    run holds one sample or one block of the propagator, never the stack
+    unless asked.  trajectory() runs what is left and returns the record.
+    """
+
+    def __init__(self, window: LatticeWindow, times: np.ndarray, samples,
+                 keep: str, opts: IntegratorOptions, J_ref: float, t_start: float):
+        if keep not in _KEEP:
+            raise ValueError(f"keep must be one of {_KEEP}, not {keep!r}")
+        self.window, self.times, self.norms = window, times, np.empty(times.size)
+        self._samples, self._opts, self._J_ref, self._t_start = samples, opts, J_ref, t_start
+        ring = np.ones(window.shape, dtype=bool)
+        ring[1:-1, 1:-1] = False
+        self._edge = np.flatnonzero(ring)
+        self._edge_mass, self._count, self._final = 0.0, 0, None
+        self._amps = (np.empty((times.size,) + window.shape, dtype=complex)
+                      if keep == "amplitudes" else None)
+        self._sums = _SampleSums.empty(times.size, window.shape) if keep == "sums" else None
+        self._w = np.empty(window.shape)
+
+    def __iter__(self):
+        for v in self._samples:
+            i, f = self._count, v.reshape(self.window.shape)
+            norm = self.norms[i] = np.vdot(v, v).real
+            if norm > 0.0:
+                self._edge_mass = max(self._edge_mass,
+                                      float(np.sum(np.abs(v[self._edge]) ** 2)) / norm)
+            if self._amps is not None:
+                self._amps[i] = f
+            elif i == self.times.size - 1:
+                self._final = f.copy()
+            if self._sums is not None:
+                self._sums.add(i, f, self._w)
+            self._count += 1
+            yield v
+
+    def trajectory(self) -> Trajectory:
+        """The record of the whole pass, with the norm-drift check against its budget."""
+        for _ in self:
+            pass
+        norms, opts = self.norms, self._opts
+        span = float(self.times[-1]) - self._t_start
+        budget = opts.norm_drift_tol * self._J_ref * max(span, 1e-30)
+        drift = float(np.max(np.abs(norms - norms[0]))) if len(norms) > 1 else 0.0
+        if drift > budget:
+            warnings.warn(f"norm drift {drift:.3e} exceeds budget {budget:.3e}",
+                          stacklevel=3)
+        traj = Trajectory(times=self.times, window=self.window, amplitudes=self._amps,
+                          norms=norms, edge_mass_max=self._edge_mass,
+                          truncation_warning=bool(self._edge_mass > opts.edge_mass_tol),
+                          final=self._final)
+        if self._sums is not None:
+            traj.__dict__["_sums"] = self._sums.frozen()  # Trajectory._sums's cache
+        return traj
 
 
 # ---------------------------------------------------------------------------
@@ -316,32 +421,6 @@ def _split_span(drive: DriveSpec, window: LatticeWindow, J_x: float,
     return span
 
 
-def _finish_trajectory(window, t_samples, amps, opts, J_ref, t_start) -> Trajectory:
-    """Trajectory of the returned samples, with the norm and edge-ring audit of each."""
-    flat = amps.reshape(len(amps), -1)
-    ring = np.ones(window.shape, dtype=bool)
-    ring[1:-1, 1:-1] = False
-    edge = np.flatnonzero(ring)
-    norms = np.array([np.vdot(v, v).real for v in flat])
-    edge_mass_max = max((float(np.sum(np.abs(v[edge]) ** 2)) / norm
-                         for v, norm in zip(flat, norms) if norm > 0.0),
-                        default=0.0)
-    span = float(t_samples[-1]) - t_start
-    budget = opts.norm_drift_tol * J_ref * max(span, 1e-30)
-    drift = float(np.max(np.abs(norms - norms[0]))) if len(norms) > 1 else 0.0
-    if drift > budget:
-        warnings.warn(f"norm drift {drift:.3e} exceeds budget {budget:.3e}",
-                      stacklevel=3)
-    return Trajectory(
-        times=np.asarray(t_samples, dtype=float),
-        window=window,
-        amplitudes=amps,
-        norms=norms,
-        edge_mass_max=edge_mass_max,
-        truncation_warning=bool(edge_mass_max > opts.edge_mass_tol),
-    )
-
-
 def _check_samples(t_samples, t_start):
     t = np.asarray(t_samples, dtype=float)
     if t.ndim != 1 or t.size == 0:
@@ -355,7 +434,7 @@ def _check_samples(t_samples, t_start):
 
 def evolve_full(initial: WaveField, drive: DriveSpec, J_x: float, J_y: float,
                 t_samples, opts: IntegratorOptions | None = None,
-                t_start: float = 0.0) -> Trajectory:
+                t_start: float = 0.0, *, keep: str = "amplitudes") -> Trajectory:
     """Propagate the driven model, sampling the field at exactly t_samples.
 
     i dc/dt = -Jx (c[n+1,m] + c[n-1,m]) - Jy (c[n,m+1] + c[n,m-1])
@@ -367,14 +446,24 @@ def evolve_full(initial: WaveField, drive: DriveSpec, J_x: float, J_y: float,
     train an exact span that crosses the kicks between its ends and ignores
     dt_max.  The input is mapped in with the pre-kick branch, so a kick at
     t = t_start acts once; each sample is mapped back with the post-kick
-    branch as it is stored, and Trajectory.norms are the norms of these
+    branch as it is made, and Trajectory.norms are the norms of these
     returned samples.  t_start (default 0) may precede the first sample.
+    keep says what the Trajectory holds besides its audit and final field:
+    "amplitudes" (the default) every sample, "sums" only the per-sample
+    sums the profile, COM and kinematics read, "final" nothing more.
     """
+    return _full_run(initial, drive, J_x, J_y, t_samples, opts, t_start, keep).trajectory()
+
+
+def _full_run(initial: WaveField, drive: DriveSpec, J_x: float, J_y: float,
+              t_samples, opts: IntegratorOptions | None, t_start: float,
+              keep: str) -> _Run:
+    """evolve_full's samples as a _Run, each made as the run is iterated."""
     opts = opts or IntegratorOptions()
     window = initial.window
     t = _check_samples(t_samples, t_start)
     theta = _GaugePhase(drive, window)
-    f = initial.amplitudes.ravel() * theta.unit(t_start, "left")
+    f0 = initial.amplitudes.ravel() * theta.unit(t_start, "left")
 
     if drive.waveform.kind is WaveformKind.DELTA_KICKS:
         span = _split_span(drive, window, J_x, J_y, theta,
@@ -382,7 +471,7 @@ def evolve_full(initial: WaveField, drive: DriveSpec, J_x: float, J_y: float,
     else:
         h = _step_size(drive, J_x, J_y, opts)
         hop = _Hop(window, -J_x, -J_y, scale=-1j)
-        e, e_conj, w = (np.empty_like(f) for _ in range(3))
+        e, e_conj, w = (np.empty_like(f0) for _ in range(3))
         t_e = math.nan  # the time e holds: RK4 asks for each at most twice, in a row
 
         def rhs(tt, v, out):
@@ -395,15 +484,15 @@ def evolve_full(initial: WaveField, drive: DriveSpec, J_x: float, J_y: float,
         def span(v, t_a, t_b):
             return _rk4_span(v, t_a, t_b, h, rhs)
 
-    # a sample at or before the current time repeats the state
-    amps = np.empty((t.size,) + window.shape, dtype=complex)
-    t_cur = t_start
-    for i, ts in enumerate(t):
-        if ts > t_cur:
-            f, t_cur = span(f, t_cur, ts), ts
-        amps[i] = (f * theta.unit(float(ts), "right").conj()).reshape(window.shape)
-    return _finish_trajectory(window, t, amps, opts,
-                              max(abs(J_x), abs(J_y)) or 1.0, t_start)
+    def samples(f):
+        # a sample at or before the current time repeats the state
+        t_cur = t_start
+        for ts in t:
+            if ts > t_cur:
+                f, t_cur = span(f, t_cur, ts), ts
+            yield f * theta.unit(float(ts), "right").conj()
+
+    return _Run(window, t, samples(f0), keep, opts, max(abs(J_x), abs(J_y)) or 1.0, t_start)
 
 
 def gaussian_input(window: LatticeWindow, width: float, tilt: float = 0.0,

@@ -27,10 +27,10 @@ from .dynamics import (
     IntegratorOptions,
     Trajectory,
     _check_samples,
-    _finish_trajectory,
     _Hop,
     _neighbor_matrix,
     _rk4_span,
+    _Run,
     _sample_sums,
     _SampleSums,
 )
@@ -89,7 +89,7 @@ def _chebyshev_block(hop2: _Hop, psi: np.ndarray, x: np.ndarray, out: np.ndarray
 
 def evolve_effective(initial: WaveField, hoppings: EffectiveHoppings, t_samples,
                      opts: IntegratorOptions | None = None,
-                     t_start: float = 0.0) -> Trajectory:
+                     t_start: float = 0.0, *, keep: str = "amplitudes") -> Trajectory:
     """Propagate the effective model exactly, with evolve_full's contract.
 
     exp(-i H dt) is a Chebyshev series in H/R, R = 2(|kappa_x| + |kappa_y|)
@@ -98,25 +98,39 @@ def evolve_effective(initial: WaveField, hoppings: EffectiveHoppings, t_samples,
     R (t - t_b) <= _BLOCK_SPAN (at least one), each a row of one matrix
     product; the block's last sample starts the next.  A sample at or before
     t_start is the input.  opts.dt_max has no effect; the drift and
-    edge-mass checks still apply.
+    edge-mass checks still apply.  keep is evolve_full's.
+    """
+    return _effective_run(initial, hoppings, t_samples, opts, t_start, keep).trajectory()
+
+
+def _effective_run(initial: WaveField, hoppings: EffectiveHoppings, t_samples,
+                   opts: IntegratorOptions | None, t_start: float, keep: str) -> _Run:
+    """evolve_effective's samples as a _Run, made one Chebyshev block at a time.
+
+    The blocks share one buffer, so the run holds a single block.
     """
     opts = opts or IntegratorOptions()
     window = initial.window
     t = _check_samples(t_samples, t_start)
-    psi = initial.amplitudes.ravel().astype(complex)
     kx, ky = abs(hoppings.kappa_x), abs(hoppings.kappa_y)
     R = 2.0 * (kx + ky) or 1.0
     hop2 = _Hop(window, *_effective_links(window, hoppings), scale=2.0 / R)
-    amps = np.empty((t.size, psi.size), dtype=complex)
-    start, t_b = 0, t_start
-    while start < t.size:
-        stop = max(start + 1, int(np.searchsorted(t, t_b + _BLOCK_SPAN / R,
-                                                  side="right")))
-        x = R * np.maximum(t[start:stop] - t_b, 0.0)
-        _chebyshev_block(hop2, psi, x, amps[start:stop])
-        start, t_b, psi = stop, max(t_b, t[stop - 1]), amps[stop - 1]
-    return _finish_trajectory(window, t, amps.reshape((t.size,) + window.shape),
-                              opts, max(kx, ky) or 1.0, t_start)
+
+    def samples(psi):
+        block = np.empty((0, psi.size), dtype=complex)
+        start, t_b = 0, t_start
+        while start < t.size:
+            stop = max(start + 1, int(np.searchsorted(t, t_b + _BLOCK_SPAN / R,
+                                                      side="right")))
+            x = R * np.maximum(t[start:stop] - t_b, 0.0)
+            if len(block) < x.size:
+                block = np.empty((x.size, psi.size), dtype=complex)
+            _chebyshev_block(hop2, psi, x, block[:x.size])
+            start, t_b, psi = stop, max(t_b, t[stop - 1]), block[x.size - 1].copy()
+            yield from block[:x.size]
+
+    return _Run(window, t, samples(initial.amplitudes.ravel().astype(complex)), keep,
+                opts, max(kx, ky) or 1.0, t_start)
 
 
 def gauge_map(exact: WaveField, t: float, drive: DriveSpec,

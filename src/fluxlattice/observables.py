@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import DriveSpec, TWO_PI, _GaugePhase
-from .dynamics import Trajectory
+from .dynamics import Trajectory, _Run
 
 __all__ = [
     "FringeRecord",
@@ -158,16 +158,19 @@ class ModelDeviation:
         return float(np.max(self.max_abs))
 
 
-def model_deviation(full: Trajectory, effective: Trajectory,
+def model_deviation(full: Trajectory | _Run, effective: Trajectory | _Run,
                     drive: DriveSpec) -> ModelDeviation:
     """Compare an exact run against an effective run, sample by sample.
 
-    Both trajectories must share the window and identical sample times,
-    and the times must be integer multiples of the drive period (the
-    averaged model reproduces the exact one stroboscopically).  The modulus
-    mismatch is gauge-free; the infidelity maps f back to the driven frame
-    first, as evolve_full stores its samples, and is invariant under global
-    phases of either input.  It normalizes by the recorded Trajectory.norms.
+    Both runs must share the window and identical sample times, and the
+    times must be integer multiples of the drive period (the averaged model
+    reproduces the exact one stroboscopically).  The modulus mismatch is
+    gauge-free; the infidelity maps f back to the driven frame first, as
+    evolve_full maps its samples, and is invariant under global phases of
+    either input.  It normalizes by the runs' audited norms.  Each run is a
+    Trajectory that kept its amplitudes, or a run still to be made
+    (dynamics._Run, as the runner's compare passes): the two then advance
+    in lockstep, one sample each at a time, and neither stack is held.
     """
     if full.window != effective.window:
         raise ValueError("trajectories live on different windows")
@@ -179,12 +182,21 @@ def model_deviation(full: Trajectory, effective: Trajectory,
     cycles = tf / period
     if np.max(np.abs(cycles - np.round(cycles))) > 1e-6:
         raise ValueError("sample times must be integer multiples of 2*pi/omega")
+    theta = _GaugePhase(drive, full.window)
+    max_abs, overlap = np.empty(tf.size), np.empty(tf.size, dtype=complex)
+    for i, (t, c, f) in enumerate(zip(tf, _flat_samples(full), _flat_samples(effective))):
+        max_abs[i] = np.max(np.abs(np.abs(c) - np.abs(f)))
+        overlap[i] = np.vdot(f * theta.unit(t).conj(), c)
     if np.any(full.norms <= 0.0) or np.any(effective.norms <= 0.0):
         raise ValueError("zero-norm field in deviation comparison")
-    c, f = (tr.amplitudes.reshape(tf.size, -1) for tr in (full, effective))
-    max_abs = np.max(np.abs(np.abs(c) - np.abs(f)), axis=1)
-    theta = _GaugePhase(drive, full.window)
-    overlap = np.array([np.vdot(fi * theta.unit(t).conj(), ci)
-                        for t, ci, fi in zip(tf, c, f)])
     infid = 1.0 - np.abs(overlap) ** 2 / (full.norms * effective.norms)
     return ModelDeviation(times=tf, max_abs=max_abs, infidelity=infid)
+
+
+def _flat_samples(run: Trajectory | _Run):
+    """The samples of a run, each flat, as they are made or from the kept stack."""
+    if isinstance(run, _Run):
+        return run
+    if run.amplitudes is None:
+        raise ValueError("the trajectory kept no amplitudes to compare")
+    return run.amplitudes.reshape(run.times.size, -1)

@@ -25,8 +25,9 @@ import numpy as np
 
 from ._version import __version__
 from .config import Scenario, load_config
-from .dynamics import Trajectory, evolve_full, gaussian_input
+from .dynamics import Trajectory, _full_run, evolve_full, gaussian_input
 from .effective import (
+    _effective_run,
     _kinematics,
     evolve_effective,
     expectation_kinematics,
@@ -181,11 +182,9 @@ def _trajectory_products(s: Scenario, traj: Trajectory):
                          np.column_stack([traj.times, path]))
         derived["com_final"] = path[-1]
     if s.out_fields:
-        final = traj.amplitudes[-1]
-        # matrix layout: one row per m (ascending), one column per n; copies,
-        # so the tables do not keep the whole trajectory alive
-        tables["field_final_re"] = (None, final.real.T.copy())
-        tables["field_final_im"] = (None, final.imag.T.copy())
+        # matrix layout: one row per m (ascending), one column per n
+        tables["field_final_re"] = (None, traj.final.real.T)
+        tables["field_final_im"] = (None, traj.final.imag.T)
     derived["norm_initial"] = traj.norms[0]
     derived["norm_final"] = traj.norms[-1]
     derived["norm_drift"] = np.max(np.abs(traj.norms - traj.norms[0]))
@@ -197,14 +196,16 @@ def _trajectory_products(s: Scenario, traj: Trajectory):
 
 def _run_full(s: Scenario):
     times, c0, _ = _start(s)
-    traj = evolve_full(c0, s.drive, s.J_x, s.J_y, times, s.integrator, s.t_start)
+    keep = "sums" if s.out_profile or s.out_com else "final"
+    traj = evolve_full(c0, s.drive, s.J_x, s.J_y, times, s.integrator, s.t_start,
+                       keep=keep)
     return _trajectory_products(s, traj)
 
 
 def _run_effective(s: Scenario):
     h = s.hoppings[0]
     times, _, f0 = _start(s)
-    traj = evolve_effective(f0, h, times, s.integrator, s.t_start)
+    traj = evolve_effective(f0, h, times, s.integrator, s.t_start, keep="sums")
     derived, tables = _trajectory_products(s, traj)
     derived.update(kappa_x=h.kappa_x, kappa_y=h.kappa_y, alpha=h.alpha)
     table = np.column_stack([traj.times, _kinematics(traj._sums, traj.window, h)])
@@ -245,11 +246,12 @@ def _run_compare(s: Scenario):
     truncation = False
     for i, (omega, drive, h) in enumerate(zip(s.omegas, s.drives, s.hoppings)):
         times, c0, f0 = _start(s, i)
-        full = evolve_full(c0, drive, s.J_x, s.J_y, times, s.integrator,
-                           s.t_start)
-        eff = evolve_effective(f0, h, times, s.integrator, s.t_start)
+        # model_deviation makes the two runs in lockstep, so neither keeps a stack
+        full = _full_run(c0, drive, s.J_x, s.J_y, times, s.integrator, s.t_start, "final")
+        eff = _effective_run(f0, h, times, s.integrator, s.t_start, "final")
         dev = model_deviation(full, eff, drive)
-        truncation = truncation or full.truncation_warning or eff.truncation_warning
+        audits = full.trajectory(), eff.trajectory()
+        truncation = truncation or any(a.truncation_warning for a in audits)
         rows.extend([omega, t, ma, inf] for t, ma, inf in
                     zip(dev.times, dev.max_abs, dev.infidelity))
         peaks.append(dev.peak)
