@@ -34,9 +34,9 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-# A kick closer than this to an evaluation point (a sample, t_start, a span
-# end), in units of phase / pi, i.e. pi / omega of time, counts as at it:
-# G's branches, the kick times and the kick span all use this one guard.
+# A kick within this of an evaluation point, in units of phase / pi (pi /
+# omega of time), counts as at it.  Only _kick_count reads it: every kick
+# decision is a kick count on G's own phases, so no two of them disagree.
 _KICK_GUARD = 1e-9
 
 __all__ = [
@@ -208,7 +208,9 @@ class Waveform:
             return np.sin(x)
         if self.kind is WaveformKind.SAMPLED:
             return self._sampled_G(x)
-        return self._delta_G(x, side)
+        # the delta train's square wave: the parity of the kick count up to x
+        g = 1.0 - _kick_count(np.asarray(x, dtype=float) / math.pi, side) % 2.0
+        return float(g) if g.ndim == 0 else g
 
     def _sampled_G(self, x):
         x = np.asarray(x, dtype=float)
@@ -223,18 +225,15 @@ class Waveform:
         g = g + k * self._g_nodes[-1]
         return float(g) if g.ndim == 0 else g
 
-    def _delta_G(self, x, side):
-        # Parity of the kick count up to x decides the square-wave level.
-        # The guard keeps evaluation at nominal kick points stable when
-        # x = omega*t + phi was reconstructed in floating point.
-        u = np.asarray(x, dtype=float) / math.pi
-        if side == "right":
-            parity = np.floor(u + _KICK_GUARD) % 2.0
-            g = np.where(parity == 0.0, 1.0, 0.0)
-        else:
-            parity = np.ceil(u - _KICK_GUARD) % 2.0
-            g = np.where(parity == 1.0, 1.0, 0.0)
-        return float(g) if g.ndim == 0 else g
+
+def _kick_count(u, side: str):
+    """Kicks up to phase u = (omega t + phi) / pi on G's branch side, as a float.
+
+    Kicks sit at integer u; "right" counts one within _KICK_GUARD of u, "left" not.
+    """
+    if side == "right":
+        return np.floor(u + _KICK_GUARD)
+    return np.ceil(u - _KICK_GUARD) - 1.0
 
 
 def smoothed_delta_train(width: float, num_samples: int = 8192) -> Waveform:
@@ -360,9 +359,9 @@ class _GaugePhase:
     class index made once per instance.  On a 61 x 61 window sigma = rho =
     pi gives 2 classes and sigma = -pi/25, rho = pi gives 50; incommensurate
     sigma, rho give one class per site.
-    The delta-kick train's kick times are read off the same classes
-    (kick_times).  Calling the instance evaluates theta itself and redoes
-    only the time-dependent part.
+    kick_times reads the delta train's kicks off the same classes, and
+    every kick decision is a _kick_count on G's phase.  Calling the
+    instance evaluates theta itself and redoes only the time-dependent part.
     """
 
     def __init__(self, drive: DriveSpec, window: LatticeWindow):
@@ -386,23 +385,26 @@ class _GaugePhase:
         _, first, index = np.unique(key, return_index=True, return_inverse=True)
         return np.mod(phi[first], TWO_PI), index.ravel()
 
-    def kick_times(self, t0: float, t1: float) -> np.ndarray:
-        """Sorted times in [t0, t1] at which the delta-kick train kicks some site.
+    def kick_times(self, t0: float, t1: float, sides=("left", "right")) -> np.ndarray:
+        """Sorted times at which the delta-kick train kicks some site, by default in [t0, t1].
 
-        Site (n, m) is kicked when omega t + phi[n,m] = j pi, j any integer,
-        so class c is kicked at (j + u_c) pi / omega, u_c = (-phi_c / pi) mod 1.
-        A kick within _KICK_GUARD pi / omega of t0 or t1 is included, as G's
-        branches there count it; one within it before a later kept time is
-        dropped, as G's right branch counts it wherever it counts that time.
+        Class c is kicked where u_c(t) = (omega t + phi_c) / pi is an integer
+        j, at (j - r + v) pi / omega with v = (-phi_c / pi) mod 1 and
+        r = round(phi_c / pi + v).  Listed are the pairs (c, j) that G's
+        sides[0] branch does not count at t0 and its sides[1] branch counts
+        at t1 (_kick_count on u_c).  From the latest back, a pair joins the
+        later kept time unless G's left branch there already counts it.
         """
-        s = self._drive.omega / math.pi
-        times, kept = [], []
-        for u in np.mod(-self.classes[0] / math.pi, 1.0):
-            j_lo = math.ceil(t0 * s - u - _KICK_GUARD)
-            j_hi = math.floor(t1 * s - u + _KICK_GUARD)
-            times.extend((j + u) / s for j in range(j_lo, j_hi + 1))
-        for t in sorted(times, reverse=True):
-            if not kept or t < kept[-1] - _KICK_GUARD / s:
+        omega, s = self._drive.omega, self._drive.omega / math.pi
+        pairs, kept = [], []
+        for phi in self.classes[0].tolist():
+            v = (-phi / math.pi) % 1.0
+            r = round(phi / math.pi + v)
+            lo = int(_kick_count((omega * t0 + phi) / math.pi, sides[0]))
+            hi = int(_kick_count((omega * t1 + phi) / math.pi, sides[1]))
+            pairs.extend(((j - r + v) / s, phi, j) for j in range(lo + 1, hi + 1))
+        for t, phi, j in sorted(pairs, reverse=True):
+            if not kept or _kick_count((omega * kept[-1] + phi) / math.pi, "left") >= j:
                 kept.append(t)
         return np.array(kept[::-1])
 

@@ -44,14 +44,14 @@ The delta-kick train takes no step.  Between kicks beta = beta0 + F m is
 static, so U = U_x (x) U_y is exact from one eigh of each chain, the Nm
 one tilted (the Wannier-Stark propagator; Hartmann, Keck, Korsch &
 Mossmann, New J. Phys. 6, 2 (2004)).  f is continuous across the kicks,
-which live in the square wave G of theta: a span from one sample to the
-next maps f to the lab frame once, stops at each kick time between them
-(core._GaugePhase.kick_times: kicks within core._KICK_GUARD pi / omega
-of each other are one time, and one within it of a span end is at that
-end, as in G's branches), and applies there the kicks since the last
-stop as one on-site phase from G's post-kick branches, which telescope,
-so each kick acts once.  Inputs are mapped in with the pre-kick branch
-at t_start, so the first span applies a kick there once.
+which live in the square wave G of theta.  A span from one sample to the
+next maps f to the lab frame once and stops at the kicks that G's right
+branch does not count at its start and its left branch counts at its end
+(core._GaugePhase.kick_times; every kick decision is a core._kick_count
+on G's own phases), and the rest act at the ends.  Each stop applies the
+kicks since the last as one on-site phase from G's post-kick branches,
+which telescope, so each kick acts once.  Inputs are mapped in with the
+pre-kick branch at t_start, so the first span applies a kick there once.
 """
 
 from __future__ import annotations
@@ -70,7 +70,6 @@ from .core import (
     WaveField,
     WaveformKind,
     _GaugePhase,
-    _KICK_GUARD,
     gauge_phase,
 )
 
@@ -397,24 +396,24 @@ def _rk4_span(psi: np.ndarray, t0: float, t1: float, h_cap: float, rhs) -> np.nd
 
 
 def _split_span(drive: DriveSpec, window: LatticeWindow, J_x: float,
-                J_y: float, theta: _GaugePhase, kicks: np.ndarray):
+                J_y: float, theta: _GaugePhase):
     """span(f, t_a, t_b): exact gauge-frame propagation across the kick train.
 
-    It maps f to the lab frame once and stops at each kick strictly inside
-    (t_a, t_b), a kick within core._KICK_GUARD pi / omega of an end
-    coinciding with that end; each piece is U_x (x) U_y, and each stop
-    applies the kicks since the last one as one phase (_GaugePhase.kick).
+    It maps f to the lab frame once and stops at the kicks that G's right
+    branch does not count at t_a and its left branch counts at t_b
+    (_GaugePhase.kick_times), the rest acting at the ends; each piece is
+    U_x (x) U_y, and each stop applies the kicks since the last one as one
+    phase (_GaugePhase.kick).
     """
     Nn, Nm = window.shape
     lx, vx = np.linalg.eigh(-J_x * (np.eye(Nn, k=1) + np.eye(Nn, k=-1)))
     ly, vy = np.linalg.eigh(np.diag(drive.beta0 + drive.F * window.m_values)
                             - J_y * (np.eye(Nm, k=1) + np.eye(Nm, k=-1)))
     lam = lx[:, None] + ly[None, :]
-    eps = _KICK_GUARD * math.pi / drive.omega
 
     def span(f, t_a, t_b):
         c = (f * theta.unit(t_a).conj()).reshape(Nn, Nm)
-        for t_k in [*kicks[(kicks > t_a + eps) & (kicks < t_b - eps)], t_b]:
+        for t_k in [*theta.kick_times(t_a, t_b, ("right", "left")), t_b]:
             c = vx @ ((vx.T @ c @ vy) * np.exp(-1j * (t_k - t_a) * lam)) @ vy.T
             c, t_a = c * theta.kick(t_a, t_k).reshape(Nn, Nm), t_k
         return c.ravel() * theta.unit(t_b)
@@ -466,8 +465,7 @@ def _full_run(initial: WaveField, drive: DriveSpec, J_x: float, J_y: float,
     f0 = initial.amplitudes.ravel() * theta.unit(t_start, "left")
 
     if drive.waveform.kind is WaveformKind.DELTA_KICKS:
-        span = _split_span(drive, window, J_x, J_y, theta,
-                           theta.kick_times(t_start, float(t[-1])))
+        span = _split_span(drive, window, J_x, J_y, theta)
     else:
         h = _step_size(drive, J_x, J_y, opts)
         hop = _Hop(window, -J_x, -J_y, scale=-1j)

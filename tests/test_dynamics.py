@@ -493,6 +493,58 @@ def test_kicks_merged_near_a_span_end_act_on_time(offset):
                                rtol=0, atol=1e-9)
 
 
+def _chain_input(Nm, seed):
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=(1, Nm)) + 1j * rng.normal(size=(1, Nm))
+    return amps / np.linalg.norm(amps)
+
+
+@pytest.mark.parametrize("c0, lag, offsets, atol", [
+    (np.array([[1.0, 0.0]]), 0.8, np.arange(-20, 21) / 10, 1e-9),
+    (_chain_input(4, 23), 0.37, np.arange(-80, 81) / 20, 1e-8),
+], ids=["pair", "cluster"])
+def test_a_span_end_swept_across_kicks_leaves_each_on_time(c0, lag, offsets, atol):
+    # 1 x Nm chain, J_y = 1: site m kicks by exp(i Gamma) at k + (Nm - 1 - m)
+    # lag guard, so "pair" is the chain of the test above.  With a span end
+    # (t_start or a sample) at k + offset guard, every kick must act once,
+    # within a guard of its time: one more than a guard before t_start is
+    # done, any other acts at max(its time, t_start); within 1e-3 guard of
+    # that edge either answer holds.  At offset -0.2 "pair"'s site-0 kick
+    # lies one guard after the end, where a stop decided apart from G's
+    # branches can leave it to the next sample (0.10 off).
+    omega, Gamma, Nm = 20.0, 0.7, c0.shape[1]
+    guard = _KICK_GUARD * PI / omega
+    d = _delta(omega=omega, Gamma=Gamma, M=0, sigma=0.0, rho=lag * 1e-9 * PI)
+    w = LatticeWindow(0, 0, 0, Nm - 1)
+    site_kicks = (PI - np.arange(Nm) * d.rho) / omega
+    k, t_end = site_kicks[-1], site_kicks[-1] + 0.15
+    lam, vecs = np.linalg.eigh(-(np.eye(Nm, k=1) + np.eye(Nm, k=-1)))
+
+    def reference(t0, lead):
+        c, t = c0.ravel().astype(complex), t0
+        for t_k, m in sorted((max(t_k, t0), m) for m, t_k in enumerate(site_kicks)
+                             if t_k >= t0 - lead):
+            c = vecs @ (np.exp(-1j * lam * (t_k - t)) * (vecs.T @ c))
+            c[m] *= np.exp(1j * Gamma)
+            t = t_k
+        return vecs @ (np.exp(-1j * lam * (t_end - t)) * (vecs.T @ c))
+
+    def err(c, t0):
+        return min(np.max(np.abs(c.ravel() - reference(t0, lead)))
+                   for lead in (0.999 * guard, 1.001 * guard))
+
+    failed = []
+    for offset in offsets:
+        t_edge = k + offset * guard
+        from_edge = evolve_full(WaveField(w, c0), d, 0.0, 1.0, [t_end], t_start=t_edge)
+        via_edge = evolve_full(WaveField(w, c0), d, 0.0, 1.0, [t_edge, t_end],
+                               t_start=k - 0.05)
+        errs = err(from_edge.amplitudes[-1], t_edge), err(via_edge.amplitudes[-1], k - 0.05)
+        if max(errs) > atol:
+            failed.append((offset, *errs))
+    assert not failed, failed
+
+
 def test_delta_kicks_converge_to_smoothed_drive():
     # same run with kicks replaced by narrow smooth pulses; samples mid-gap,
     # moduli compared (the two runs differ by a global phase)
