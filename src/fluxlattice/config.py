@@ -381,7 +381,7 @@ def scenario_from_sections(sections: dict) -> Scenario:
             drives = tuple(_drive(config["drive"], om) for om in
                            fields.get("omegas") or (config["drive"]["omega"],))
             fields["drives"] = drives
-            if kind in ("full_evolve", "compare") and waveform != "delta_kicks":
+            if kind in ("full_evolve", "compare"):
                 for d in drives:  # an RK4 step underflow fails here, not mid-run
                     _step_size(d, fields["J_x"], fields["J_y"],
                                fields.get("integrator") or IntegratorOptions())

@@ -108,8 +108,9 @@ class IntegratorOptions:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Sampled evolution: times, the monitoring record, the final field, and
-    every amplitude when the run kept them.
+    """Sampled evolution: times, the monitoring record (norms, their
+    ``norm_drift``, edge mass), the final field, and every amplitude when
+    the run kept them.
 
     ``amplitudes`` is one read-only complex array of shape (T, Nn, Nm), row
     i the field on ``window`` at ``times[i]``, or None when the run kept no
@@ -157,6 +158,11 @@ class Trajectory:
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "final", final)
         object.__setattr__(self, "norms", norms)
+
+    @property
+    def norm_drift(self) -> float:
+        """max |norms - norms[0]|: the drift the budget check and runner read."""
+        return float(np.max(np.abs(self.norms - self.norms[0])))
 
     @cached_property  # written straight into the instance __dict__, as _Run does
     def _sums(self) -> _SampleSums:
@@ -269,17 +275,15 @@ class _Run:
         """The record of the whole pass, with the norm-drift check against its budget."""
         for _ in self:
             pass
-        norms, opts = self.norms, self._opts
-        span = float(self.times[-1]) - self._t_start
-        budget = opts.norm_drift_tol * self._J_ref * max(span, 1e-30)
-        drift = float(np.max(np.abs(norms - norms[0]))) if len(norms) > 1 else 0.0
-        if drift > budget:
-            warnings.warn(f"norm drift {drift:.3e} exceeds budget {budget:.3e}",
-                          stacklevel=3)
         traj = Trajectory(times=self.times, window=self.window, amplitudes=self._amps,
-                          norms=norms, edge_mass_max=self._edge_mass,
-                          truncation_warning=bool(self._edge_mass > opts.edge_mass_tol),
+                          norms=self.norms, edge_mass_max=self._edge_mass,
+                          truncation_warning=bool(self._edge_mass > self._opts.edge_mass_tol),
                           final=self._final)
+        span = float(self.times[-1]) - self._t_start
+        budget = self._opts.norm_drift_tol * self._J_ref * max(span, 1e-30)
+        if traj.norm_drift > budget:
+            warnings.warn(f"norm drift {traj.norm_drift:.3e} exceeds budget {budget:.3e}",
+                          stacklevel=3)
         if self._sums is not None:
             traj.__dict__["_sums"] = self._sums.frozen()  # Trajectory._sums's cache
         return traj
@@ -341,8 +345,11 @@ def _neighbor_matrix(window: LatticeWindow, up_x, up_y):
 
 
 def _step_size(drive: DriveSpec, J_x: float, J_y: float,
-               opts: IntegratorOptions) -> float:
-    """RK4 step of a smooth-drive full run (module docstring)."""
+               opts: IntegratorOptions) -> float | None:
+    """RK4 step of a full run (module docstring), or None for the delta-kick
+    train, whose spans are exact; config checks every full and compare drive."""
+    if drive.waveform.kind is WaveformKind.DELTA_KICKS:
+        return None
     J_ref = max(abs(J_x), abs(J_y)) or 1.0
     lam = 2.0 * (abs(J_x) + abs(J_y))
     nu = abs(drive.F) + 2.0 * abs(drive.A) * drive.waveform.pointwise_bound
@@ -457,17 +464,18 @@ def evolve_full(initial: WaveField, drive: DriveSpec, J_x: float, J_y: float,
 def _full_run(initial: WaveField, drive: DriveSpec, J_x: float, J_y: float,
               t_samples, opts: IntegratorOptions | None, t_start: float,
               keep: str) -> _Run:
-    """evolve_full's samples as a _Run, each made as the run is iterated."""
+    """evolve_full's samples as a _Run, each made as the run is iterated: exact
+    kick spans where _step_size gives no step, RK4 spans of its step otherwise."""
     opts = opts or IntegratorOptions()
     window = initial.window
     t = _check_samples(t_samples, t_start)
     theta = _GaugePhase(drive, window)
     f0 = initial.amplitudes.ravel() * theta.unit(t_start, "left")
 
-    if drive.waveform.kind is WaveformKind.DELTA_KICKS:
+    h = _step_size(drive, J_x, J_y, opts)
+    if h is None:
         span = _split_span(drive, window, J_x, J_y, theta)
     else:
-        h = _step_size(drive, J_x, J_y, opts)
         hop = _Hop(window, -J_x, -J_y, scale=-1j)
         e, e_conj, w = (np.empty_like(f0) for _ in range(3))
         t_e = math.nan  # the time e holds: RK4 asks for each at most twice, in a row

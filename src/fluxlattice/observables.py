@@ -33,13 +33,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FringeRecord:
-    """I_n(t) profiles with optional visibility series and revival period."""
+    """I_n(t) profiles with an optional visibility series."""
 
     times: np.ndarray
     profiles: np.ndarray  # (T, Nn), row t -> I_n
     n_values: np.ndarray
     visibility: np.ndarray | None = None
-    revival: float | None = None
 
 
 def vertical_profile(traj: Trajectory) -> FringeRecord:

@@ -1,7 +1,8 @@
 """Scenario execution: run a validated config, write CSV data + JSON metadata.
 
-Each handler computes its results and returns them as named tables,
-{role: (header, table[, fmt])}; ``run_scenario`` alone writes them.  Role
+Each handler computes its results and returns them as derived values,
+named tables {role: (header, table[, fmt])} and its stdout summary lines;
+``run_scenario`` alone writes the tables and prints the summary.  Role
 ``r`` of a run labelled ``L`` goes to ``L_r.csv``: comma-separated, CRLF
 line ends, one header line (the final-field matrices ``L_field_final_re``
 and ``_im`` have none), floats as ``%.12g``, and integer and flag columns
@@ -105,15 +106,16 @@ def _start(s: Scenario, i: int = 0):
 
 
 # -- per-kind handlers --------------------------------------------------------
-# each returns (derived: dict, tables: {role: (header, table[, fmt])}); an
-# evolution's derived["truncation"] is its window-truncation flag
+# each returns (derived: dict, tables: {role: (header, table[, fmt])},
+# summary: [line]); an evolution's derived["truncation"] is its
+# window-truncation flag
 
 def _run_hoppings(s: Scenario):
     methods = [s.method]
     if s.method == "auto":
         # surface both routes so their agreement is visible in the output
         methods = ["quadrature", "closed"]
-    rows, derived = [], {}
+    rows, derived, summary = [], {}, []
     routes = {}
     for method in methods:
         h = routes[method] = hoppings_from_drive(s.drive, s.J_x, s.J_y, method)
@@ -123,17 +125,21 @@ def _run_hoppings(s: Scenario):
         derived[method] = {"kappa_x": h.kappa_x, "kappa_y": h.kappa_y,
                            "kappa_x_abs": abs(h.kappa_x),
                            "kappa_y_abs": abs(h.kappa_y)}
+        summary.append(f"{method}: |kappa_x| = {abs(h.kappa_x):.6g}, "
+                       f"|kappa_y| = {abs(h.kappa_y):.6g}")
     any_h = next(iter(routes.values()))
     derived["alpha"] = any_h.alpha
     derived["flux_angle"] = any_h.flux_angle
+    summary.append(f"alpha = {any_h.alpha:.6g}")
     if len(routes) == 2:
         a, b = routes["quadrature"], routes["closed"]
         derived["route_max_diff"] = max(abs(a.kappa_x - b.kappa_x),
                                         abs(a.kappa_y - b.kappa_y))
+        summary.append(f"route max diff = {derived['route_max_diff']:.3e}")
     header = ["method", "kappa_x_re", "kappa_x_im", "kappa_y_re", "kappa_y_im",
               "kappa_x_abs", "kappa_y_abs", "alpha", "flux_angle"]
     table = np.array(rows, dtype=object)
-    return derived, {"hoppings": (header, table, ["%s"] + ["%.12g"] * 8)}
+    return derived, {"hoppings": (header, table, ["%s"] + ["%.12g"] * 8)}, summary
 
 
 def _run_spectrum(s: Scenario):
@@ -143,7 +149,8 @@ def _run_spectrum(s: Scenario):
         derived = {"flux_count": len(s.fluxes), "band_rows": data.shape[0],
                    "ratio": abs(h.kappa_y) / abs(h.kappa_x),
                    "k_grid": s.k_grid}
-        return derived, {"butterfly": (["alpha", "E_min", "E_max"], data)}
+        return (derived, {"butterfly": (["alpha", "E_min", "E_max"], data)},
+                [f"butterfly: {len(s.fluxes)} fluxes, {data.shape[0]} band rows"])
     flux, = s.fluxes
     bands = harper_bands(h, flux, s.k_grid)
     rows = [[i, lo, hi, bands.touching[i] if i < len(bands.touching) else False]
@@ -153,8 +160,10 @@ def _run_spectrum(s: Scenario):
                "total_bandwidth": bands.total_bandwidth,
                "touching": bands.touching,
                "kappa_x": h.kappa_x, "kappa_y": h.kappa_y, "k_grid": s.k_grid}
-    return derived, {"bands": (["band", "E_min", "E_max", "touching_next"],
-                               rows, ["%d", "%.12g", "%.12g", "%d"])}
+    return (derived, {"bands": (["band", "E_min", "E_max", "touching_next"],
+                                rows, ["%d", "%.12g", "%.12g", "%d"])},
+            [f"flux {flux.p}/{flux.q}: {len(bands.intervals)} band(s), "
+             f"total bandwidth {bands.total_bandwidth:.6g}"])
 
 
 def _trajectory_products(s: Scenario, traj: Trajectory):
@@ -187,11 +196,20 @@ def _trajectory_products(s: Scenario, traj: Trajectory):
         tables["field_final_im"] = (None, traj.final.imag.T)
     derived["norm_initial"] = traj.norms[0]
     derived["norm_final"] = traj.norms[-1]
-    derived["norm_drift"] = np.max(np.abs(traj.norms - traj.norms[0]))
+    derived["norm_drift"] = traj.norm_drift
     derived["edge_mass_max"] = traj.edge_mass_max
     derived["truncation"] = traj.truncation_warning
     derived["samples"] = traj.times.size
     return derived, tables
+
+
+def _audit_lines(derived: dict) -> list[str]:
+    """Summary of an evolution run: its audit, and the revival if one was found."""
+    lines = [f"norm drift = {derived['norm_drift']:.3e}, "
+             f"edge mass max = {derived['edge_mass_max']:.3e}"]
+    if derived.get("revival") is not None:
+        lines.append(f"revival period = {derived['revival']:.6g}")
+    return lines
 
 
 def _run_full(s: Scenario):
@@ -199,7 +217,8 @@ def _run_full(s: Scenario):
     keep = "sums" if s.out_profile or s.out_com else "final"
     traj = evolve_full(c0, s.drive, s.J_x, s.J_y, times, s.integrator, s.t_start,
                        keep=keep)
-    return _trajectory_products(s, traj)
+    derived, tables = _trajectory_products(s, traj)
+    return derived, tables, _audit_lines(derived)
 
 
 def _run_effective(s: Scenario):
@@ -211,7 +230,7 @@ def _run_effective(s: Scenario):
     table = np.column_stack([traj.times, _kinematics(traj._sums, traj.window, h)])
     tables["kinematics"] = (["t", "n_mean", "m_mean", "Pn", "Pm",
                              "sin_Pn", "sin_Pm", "v_n", "v_m"], table)
-    return derived, tables
+    return derived, tables, _audit_lines(derived)
 
 
 def _run_semiclassical(s: Scenario):
@@ -238,7 +257,8 @@ def _run_semiclassical(s: Scenario):
                             np.max(np.abs(inv2 - inv2[0]))],
         "samples": times.size,
     }
-    return derived, {"semiclassical": (["t", "n_mean", "m_mean", "Pn", "Pm"], rows)}
+    return (derived, {"semiclassical": (["t", "n_mean", "m_mean", "Pn", "Pm"], rows)},
+            [f"energy drift = {derived['energy_drift']:.3e}"])
 
 
 def _run_compare(s: Scenario):
@@ -261,13 +281,19 @@ def _run_compare(s: Scenario):
     derived = {"omegas": s.omegas, "peak_deviation": peaks,
                "final_deviation": finals, "peak_ratios": ratios,
                "truncation": truncation}
-    return derived, {"deviation": (["omega", "t", "max_abs", "infidelity"], rows)}
+    summary = ["peak deviations: " + ", ".join(f"{p:.3e}" for p in peaks)]
+    if ratios:
+        summary.append("consecutive ratios: " + ", ".join(
+            "n/a" if r is None else f"{r:.3f}" for r in ratios))
+    return derived, {"deviation": (["omega", "t", "max_abs", "infidelity"], rows)}, summary
 
 
 def _run_units(s: Scenario):
     record = dataclasses.asdict(s.units)
     fmt = ["%d" if isinstance(v, int) else "%.12g" for v in record.values()]
-    return record, {"units": (list(record), [list(record.values())], fmt)}
+    summary = [f"R = {record['R_cm']:.4g} cm, Lambda = {record['Lambda_mod_mm']:.4g} mm, "
+               f"A = {record['A_per_cm']:.4g} /cm, delta_n = {record['delta_n']:.4g}"]
+    return record, {"units": (list(record), [list(record.values())], fmt)}, summary
 
 
 _HANDLERS = {
@@ -294,7 +320,7 @@ def run_scenario(source, out_dir=".", strict: bool = False,
     out.mkdir(parents=True, exist_ok=True)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        derived, tables = _HANDLERS[scenario.kind](scenario)
+        derived, tables, summary = _HANDLERS[scenario.kind](scenario)
     warning_texts = [str(w.message) for w in caught]
     exit_code = 4 if (strict and derived.get("truncation", False)) else 0
     names = {role: f"{scenario.label}_{role}.csv" for role in tables}
@@ -316,7 +342,7 @@ def run_scenario(source, out_dir=".", strict: bool = False,
     if not quiet:
         print(f"{scenario.label}: {scenario.kind} -> "
               f"{len(files)} file(s) in {out}")
-        for line in _summary_lines(scenario.kind, derived):
+        for line in summary:
             print(f"  {line}")
         for warning in warning_texts:
             print(f"  warning: {warning}")
@@ -324,44 +350,3 @@ def run_scenario(source, out_dir=".", strict: bool = False,
             print("  strict: truncation warning treated as fatal")
     return RunResult(scenario=scenario, exit_code=exit_code,
                      metadata=json.loads(text), files=files)
-
-
-def _summary_lines(kind: str, derived: dict) -> list[str]:
-    lines = []
-    if kind == "hoppings":
-        for method in ("quadrature", "closed"):
-            if method in derived:
-                d = derived[method]
-                lines.append(f"{method}: |kappa_x| = {d['kappa_x_abs']:.6g}, "
-                             f"|kappa_y| = {d['kappa_y_abs']:.6g}")
-        lines.append(f"alpha = {derived['alpha']:.6g}")
-        if "route_max_diff" in derived:
-            lines.append(f"route max diff = {derived['route_max_diff']:.3e}")
-    elif kind == "spectrum":
-        if "band_count" in derived:
-            lines.append(f"flux {derived['flux']}: {derived['band_count']} band(s), "
-                         f"total bandwidth {derived['total_bandwidth']:.6g}")
-        else:
-            lines.append(f"butterfly: {derived['flux_count']} fluxes, "
-                         f"{derived['band_rows']} band rows")
-    elif kind == "compare":
-        peaks = ", ".join(f"{p:.3e}" for p in derived["peak_deviation"])
-        lines.append(f"peak deviations: {peaks}")
-        ratios = ", ".join("n/a" if r is None else f"{r:.3f}"
-                           for r in derived["peak_ratios"])
-        if ratios:
-            lines.append(f"consecutive ratios: {ratios}")
-    elif kind == "semiclassical":
-        lines.append(f"energy drift = {derived['energy_drift']:.3e}")
-    elif kind == "units":
-        lines.append(f"R = {derived['R_cm']:.4g} cm, "
-                     f"Lambda = {derived['Lambda_mod_mm']:.4g} mm, "
-                     f"A = {derived['A_per_cm']:.4g} /cm, "
-                     f"delta_n = {derived['delta_n']:.4g}")
-    else:
-        if "norm_drift" in derived:
-            lines.append(f"norm drift = {derived['norm_drift']:.3e}, "
-                         f"edge mass max = {derived['edge_mass_max']:.3e}")
-        if derived.get("revival") is not None:
-            lines.append(f"revival period = {derived['revival']:.6g}")
-    return lines

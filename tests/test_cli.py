@@ -759,6 +759,18 @@ def test_step_underflow_fails_at_load(tmp_path, capsys, ini):
     assert not list(tmp_path.glob("fast_*"))
 
 
+@pytest.mark.parametrize("ini", [
+    FAST_DRIVE_INI,
+    FAST_DRIVE_INI.replace("full_evolve", "compare").replace("omega = 1e13\n", "")
+    + "\n[compare]\nomegas = 1e13\n",
+], ids=["full_evolve", "compare"])
+def test_kicked_drives_pass_the_step_check(tmp_path, ini):
+    # the two drives above as delta kicks take no RK4 step, so none underflows
+    cfg = _write(tmp_path, "fast.ini", ini.replace("sinusoidal", "delta_kicks"))
+    assert main(["validate", str(cfg)]) == 0
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path), "--quiet"]) == 0
+
+
 def test_kicked_run_takes_no_step(tmp_path):
     # the same drive as delta kicks is propagated exactly, with no step rule
     cfg = _write(tmp_path, "fast.ini",

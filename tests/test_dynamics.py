@@ -253,7 +253,7 @@ def test_unit_phase_matches_gauge_phase(waveform, sigma, rho, classes):
 def test_kick_times_match_a_per_site_brute_force(sigma, rho, omega):
     # site (n, m) kicks at (j pi - phi[n,m]) / omega; the class rule must
     # give each of these times once, and no two kick times closer than the
-    # guard, which would apply one kick twice
+    # guard, since kick times within the guard are merged into one stop
     w = LatticeWindow(-4, 5, -3, 6)
     d = DriveSpec.resonant(omega=omega, Gamma=0.717, M=1, sigma=sigma, rho=rho,
                            waveform=Waveform.delta_kicks(), beta0=0.25)
@@ -324,7 +324,10 @@ def _dense_kick_reference(d, w, J_x, J_y, amps, ts, t_start):
     """Samples of the kicked run from a dense eigh of the whole window.
 
     Every site's kicks are listed from its own phase lag; between events
-    the static lab-frame Hamiltonian is propagated exactly.
+    the static lab-frame Hamiltonian is propagated exactly.  A kick within
+    the kick guard (in phase units, as core._kick_count reads it) before
+    t_start is still to act, and one within the guard after a sample has
+    acted by then.
     """
     sites = [(n, m) for n in w.n_values for m in w.m_values]
     index = {s: i for i, s in enumerate(sites)}
@@ -340,15 +343,16 @@ def _dense_kick_reference(d, w, J_x, J_y, amps, ts, t_start):
     events = []  # (t, site index, kick sign)
     for (n, m), i in index.items():
         phi = n * d.sigma + m * d.rho
-        l_lo = math.ceil((t_start - 1e-9) * d.omega / PI + phi / PI)
-        l_hi = math.floor(ts[-1] * d.omega / PI + phi / PI + 1e-9)
+        l_lo = math.ceil(t_start * d.omega / PI + phi / PI - _KICK_GUARD)
+        l_hi = math.floor(ts[-1] * d.omega / PI + phi / PI + _KICK_GUARD)
         events += [((l * PI - phi) / d.omega, i, (-1.0) ** l)
                    for l in range(l_lo, l_hi + 1)]
     events.sort(key=lambda e: e[0])
     psi = amps.ravel().astype(complex)
     t_cur, k, out = t_start, 0, []
+    guard = _KICK_GUARD * PI / d.omega
     for t_target in ts:
-        while k < len(events) and events[k][0] <= t_target + 1e-9:
+        while k < len(events) and events[k][0] <= t_target + guard:
             te, i, sgn = events[k]
             psi = vecs @ (np.exp(-1j * evals * max(te - t_cur, 0.0))
                           * (vecs.conj().T @ psi))
@@ -359,6 +363,24 @@ def _dense_kick_reference(d, w, J_x, J_y, amps, ts, t_start):
         t_cur = t_target
         out.append(psi.reshape(w.shape))
     return np.array(out)
+
+
+@pytest.mark.parametrize("guards", [0.5, 2.2, 4.2, 6.2, 8.0])
+def test_dense_kick_reference_reads_the_kick_guard(guards):
+    # the 1 x 2 chain of test_kicks_merged_near_a_span_end_act_on_time, from
+    # t_start a few guards after site 0's kick: a kick more than the guard
+    # before t_start is done, in the reference as in the program.  A guard of
+    # 1e-9 s (6.4 phase guards at omega = 20) put the reference 0.68 off at
+    # 2.2, 4.2 and 6.2
+    omega = 20.0
+    d = _delta(omega=omega, Gamma=0.7, M=0, sigma=0.0, rho=0.8e-9 * PI)
+    w = LatticeWindow(0, 0, 0, 1)
+    amps = np.array([[1.0, 0.0]])
+    t_start = PI / omega + guards * _KICK_GUARD * PI / omega
+    ts = np.array([t_start + 0.15])
+    traj = evolve_full(WaveField(w, amps), d, 0.0, 1.0, ts, t_start=t_start)
+    ref = _dense_kick_reference(d, w, 0.0, 1.0, amps, ts, t_start)
+    np.testing.assert_allclose(traj.amplitudes, ref, rtol=0, atol=1e-9)
 
 
 def test_kicked_run_is_exact():

@@ -140,7 +140,7 @@ def test_visibility_series_and_revival_period():
     for i, t in enumerate(times):
         depth = 0.5 * (1 + math.cos(omega * t))
         profiles[i] = 1.0 + depth * np.cos(PI * n)
-    rec = FringeRecord(times, profiles, n, None, None)
+    rec = FringeRecord(times, profiles, n, None)
     rec = with_visibility(rec)
     assert rec.visibility[0] == pytest.approx(1.0, abs=1e-12)
     idx = np.argmin(np.abs(times - 1.25))  # contrast minimum, on-grid
@@ -154,23 +154,21 @@ def test_revival_none_for_decaying_contrast():
     profiles = np.empty((times.size, n.size))
     for i, t in enumerate(times):
         profiles[i] = 1.0 + math.exp(-t) * np.cos(PI * n)
-    rec = with_visibility(FringeRecord(times, profiles, n, None, None))
+    rec = with_visibility(FringeRecord(times, profiles, n, None))
     assert revival_period(rec) is None
 
 
 def test_revival_period_input_validation():
     n = np.arange(-2, 3)
     prof = np.ones((4, 5))
-    rec = FringeRecord(np.array([0.0, 1.0, 2.0, 3.0]), prof, n, None, None)
+    rec = FringeRecord(np.array([0.0, 1.0, 2.0, 3.0]), prof, n, None)
     with pytest.raises(ValueError, match="visibility"):
         revival_period(rec)
     vis = with_visibility(rec)
-    bad = FringeRecord(np.array([0.0, 1.0, 2.5, 3.0]), prof, n,
-                       vis.visibility, None)
+    bad = FringeRecord(np.array([0.0, 1.0, 2.5, 3.0]), prof, n, vis.visibility)
     with pytest.raises(ValueError, match="uniform time grid"):
         revival_period(bad)
-    short = FringeRecord(np.array([0.0, 1.0]), prof[:2], n,
-                         vis.visibility[:2], None)
+    short = FringeRecord(np.array([0.0, 1.0]), prof[:2], n, vis.visibility[:2])
     with pytest.raises(ValueError, match="uniform time grid"):
         revival_period(short)
 

@@ -246,7 +246,7 @@ def test_kicked_profiles_do_not_hinge_on_the_last_digits_of_dt_sample():
         sections["lattice"] = {"n_half": "6"}
         sections["input"] = {"width": "2", "imprint": "true"}
         sections["time"] = {"t_max": "7.6", "dt_sample": dt}
-        _, tables = fluxlattice.runner._run_full(scenario_from_sections(sections))
+        _, tables, _ = fluxlattice.runner._run_full(scenario_from_sections(sections))
         profiles.append(tables["profile"][1])
     assert profiles[0].shape == profiles[1].shape
     np.testing.assert_allclose(profiles[0], profiles[1], rtol=0.0, atol=1e-8)
@@ -297,7 +297,7 @@ def test_kinematics_table_is_expectation_kinematics_per_sample():
     s = scenario_from_sections(sections)
     h = s.hoppings[0]
     assert h.flux_angle != 0.0
-    _, tables = fluxlattice.runner._run_effective(s)
+    _, tables, _ = fluxlattice.runner._run_effective(s)
     header, table = tables["kinematics"]
     times, _, f0 = fluxlattice.runner._start(s)
     traj = evolve_effective(f0, h, times, s.integrator, s.t_start)
