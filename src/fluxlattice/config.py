@@ -246,7 +246,8 @@ _REQUIRED = object()
 # largest amplitude output a run may produce, in bytes (16 per site and
 # sample; a compare run produces two trajectories).  Runner runs stream
 # their samples and hold at most one of them or one Chebyshev block; only
-# an API caller that keeps the amplitudes stores them all.
+# an API caller that keeps the amplitudes stores them all.  It also bounds
+# the Bloch stack a spectrum solves for one denominator.
 _TRAJECTORY_BYTES_MAX = 2 ** 32
 
 
@@ -424,16 +425,21 @@ def _sample_counts(kind: str, fields: dict, drives) -> tuple[int, ...]:
 
 
 def _fluxes(spec: str, h: EffectiveHoppings) -> tuple[RationalFlux, ...]:
-    """The fluxes a spectrum spec names: 'farey:N', 'auto' (from alpha) or 'p/q'."""
-    if spec.startswith("farey:"):
-        if abs(h.kappa_x) == 0.0:
-            raise ValidationError("butterfly energies are in units of kappa_x; "
-                                  "it must be nonzero")
-        return tuple(farey_fluxes(int(spec[len("farey:"):])))
+    """The fluxes a spectrum spec names: 'farey:N', 'auto' (from alpha) or 'p/q'.
+
+    The Bloch stack of one q (fluxes x 2 x q^2 x 16 B) must fit _TRAJECTORY_BYTES_MAX;
+    farey:N is judged from N (phi(q) < q <= N) before any flux is listed.
+    """
     if spec == "auto":
         return (RationalFlux.from_float(h.alpha),)
-    p, q = spec.split("/")
-    return (RationalFlux(int(p), int(q)),)
+    farey = spec.startswith("farey:")
+    p, q = (0, int(spec[len("farey:"):])) if farey else map(int, spec.split("/"))
+    if (q if farey else 1) * 32 * q * q > _TRAJECTORY_BYTES_MAX:
+        raise ValidationError(f"flux {spec} needs Bloch stacks above {_TRAJECTORY_BYTES_MAX} B")
+    if farey and abs(h.kappa_x) == 0.0:
+        raise ValidationError("butterfly energies are in units of kappa_x; "
+                              "it must be nonzero")
+    return tuple(farey_fluxes(q)) if farey else (RationalFlux(p, q),)
 
 
 # -- file I/O ---------------------------------------------------------------

@@ -12,11 +12,12 @@ eigenproblem per quasimomentum,
 the same entry).  The hopping phases only shift the quasimomenta, to
 kx' = kx + arg kappa_x and ky' = ky + arg kappa_y, and by Chambers'
 relation (Chambers 1965; Hofstadter, PRB 14, 2239 (1976)) det(E - H)
-depends on them only through cos(q kx') and cos(q ky').  Every band edge is
-therefore an eigenvalue at one of the four points kx', ky' in {0, pi/q}:
-the edges are exact, need no k-grid, and depend on |kappa_x| and |kappa_y|
-alone.  Collecting bands over many rationals yields the Hofstadter
-butterfly.
+depends on them only through |kappa_x|^q cos(q kx') + |kappa_y|^q cos(q ky'),
+whose two terms share a sign at the points kx' = ky' in {0, pi/q}.  Only
+there does it reach its extremes +-(|kappa_x|^q + |kappa_y|^q); the mixed
+points give +-(|kappa_x|^q - |kappa_y|^q), inside a band.  Every band edge is
+thus an eigenvalue at one of the two points: exact, with no k-grid, and set
+by |kappa_x| and |kappa_y| alone.  Many rationals give the Hofstadter butterfly.
 """
 
 from __future__ import annotations
@@ -102,37 +103,38 @@ class BandSet:
         return sum(hi - lo for lo, hi in self.intervals)
 
 
-def _chambers_eigenvalues(kappa_x_abs: float, kappa_y_abs: float,
-                          flux: RationalFlux) -> np.ndarray:
-    """Bloch eigenvalues, shape (4, q) and ascending, at kx', ky' in {0, pi/q}.
+def _chambers_eigenvalues(kappa_x_abs: float, kappa_y_abs: float, q: int,
+                          alphas: np.ndarray) -> np.ndarray:
+    """Bloch eigenvalues, shape (F, 2, q) and ascending, of F fluxes alphas = p/q.
 
-    The Bloch matrix is H = D + h S + h* S^T, with D the real on-site
-    diagonal at ky', h = -|kappa_x| e^{i kx'} and S the q x q cyclic shift
-    (S[j, j+1 mod q] = 1).  D and h S + (h S)^dagger are each hermitian, so H is.
+    Solved in one stack at kx' = ky' in {0, pi/q}, where both Chambers terms
+    share a sign and so every band edge lies.  H = D + h S + h* S^T, with D
+    the real diagonal at ky', h = -|kappa_x| e^{i kx'} and S the q x q cyclic
+    shift (S[j, j+1 mod q] = 1); D and h S + (h S)^dagger are each hermitian.
     """
-    q = flux.q
     k = np.array([0.0, math.pi / q])
-    diag = -2.0 * kappa_y_abs * np.cos(k[:, None] + TWO_PI * flux.alpha * np.arange(q))
+    diag = -2.0 * kappa_y_abs * np.cos(k[:, None] + TWO_PI * alphas[:, None, None] * np.arange(q))
     S = np.roll(np.eye(q), 1, axis=1)
-    hop = (-kappa_x_abs * np.exp(1j * k))[:, None, None, None]
-    H = diag[:, :, None] * np.eye(q) + hop * S + np.conj(hop) * S.T  # (kx', ky', q, q)
-    return np.linalg.eigvalsh(H).reshape(4, q)
+    hop = (-kappa_x_abs * np.exp(1j * k))[:, None, None]
+    H = diag[..., None] * np.eye(q) + hop * S + np.conj(hop) * S.T  # (F, 2, q, q)
+    return np.linalg.eigvalsh(H)
 
 
 def harper_bands(hoppings: EffectiveHoppings, flux: RationalFlux,
                  k_grid: int = 64) -> BandSet:
     """Exact energy bands over the magnetic Brillouin zone.
 
-    Band b spans the least to the greatest b-th eigenvalue at the four
-    Chambers points; adjacent bands whose gap is within 1e-6 * max|kappa|
-    of zero are flagged as point-touching.  Harper bands never overlap, so
-    a gap below -1e-6 * max|kappa| raises AssertionError.  ``k_grid`` (>= 32)
-    is validated and recorded in the BandSet but does not affect the edges.
+    Band b spans the b-th eigenvalues at the two Chambers points kx' = ky'
+    in {0, pi/q}, where both Chambers terms share a sign; adjacent bands
+    whose gap is within 1e-6 * max|kappa| of zero are flagged as
+    point-touching.  Harper bands never overlap, so a gap below
+    -1e-6 * max|kappa| raises AssertionError.  ``k_grid`` (>= 32) is
+    validated and recorded in the BandSet but does not affect the edges.
     """
     if k_grid < 32:
         raise ValueError("k_grid must be >= 32")
     kx, ky = abs(hoppings.kappa_x), abs(hoppings.kappa_y)
-    evals = _chambers_eigenvalues(kx, ky, flux)
+    evals = _chambers_eigenvalues(kx, ky, flux.q, np.array([flux.alpha]))[0]
     lo, hi = evals.min(axis=0), evals.max(axis=0)
     tol = 1e-6 * max(kx, ky)
     gaps = lo[1:] - hi[:-1]
@@ -158,8 +160,14 @@ def butterfly(ratio: float, flux_list, k_grid: int = 64) -> np.ndarray:
     """
     if k_grid < 32:
         raise ValueError("k_grid must be >= 32")
-    rows = []
-    for flux in flux_list:
-        evals = _chambers_eigenvalues(1.0, abs(ratio), flux)
-        rows.extend(zip([flux.alpha] * flux.q, evals.min(axis=0), evals.max(axis=0)))
-    return np.array(rows, dtype=float)
+    fluxes = list(flux_list)
+    qs = np.array([f.q for f in fluxes], dtype=int)
+    alphas = np.array([f.alpha for f in fluxes])
+    rows = np.empty((qs.sum(), 3))
+    for q in np.unique(qs):  # one stacked eigensolve per denominator
+        at = np.flatnonzero(qs == q)
+        evals = _chambers_eigenvalues(1.0, abs(ratio), q, alphas[at])
+        band = np.cumsum(qs)[at, None] - q + np.arange(q)  # rows of the fluxes at
+        rows[band, 0] = alphas[at, None]
+        rows[band, 1], rows[band, 2] = evals.min(axis=1), evals.max(axis=1)
+    return rows if fluxes else np.empty(0)

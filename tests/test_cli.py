@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -625,6 +626,18 @@ def test_oversized_trajectory_fails_validation(tmp_path, capsys):
            .replace("dt_sample = 0.2", "dt_sample = 1e-6"))
     assert main(["validate", str(_write(tmp_path, "big.ini", ini))]) == 3
     assert "100001 samples of 801x801 sites" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flux", ["1/100000", "farey:3000"])
+def test_oversized_spectrum_fails_validation(tmp_path, capsys, flux):
+    # a 2e10-entry Bloch stack for 1/100000; farey:3000 is refused from its
+    # order alone, before 2.7 million fluxes are listed
+    ini = (HOPPINGS_INI.replace("kind = hoppings", "kind = spectrum")
+           + f"\n[spectrum]\nflux = {flux}\n")
+    start = time.perf_counter()
+    assert main(["validate", str(_write(tmp_path, "sp.ini", ini))]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "Bloch stacks above" in capsys.readouterr().err
 
 
 def test_output_format_is_pinned(tmp_path):

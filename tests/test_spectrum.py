@@ -1,6 +1,7 @@
 """Magnetic band structure: rational fluxes, Harper bands, butterfly."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -180,3 +181,67 @@ def test_butterfly_row_counts():
     rows = butterfly(1.0, farey_fluxes(3), k_grid=32)
     # 0/1, 1/3, 1/2, 2/3, 1/1 -> 1 + 3 + 2 + 3 + 1 band rows
     assert len(rows) == 10
+
+
+# -- the two Chambers points -------------------------------------------------------
+
+def _four_point_edges(kappa_x, kappa_y, flux):
+    # band edges as the extremes over all four points kx', ky' in {0, pi/q}
+    q = flux.q
+    evals = np.array([np.linalg.eigvalsh(_bloch_matrix(kappa_x, kappa_y, flux, kx, ky))
+                      for kx in (0.0, PI / q) for ky in (0.0, PI / q)])
+    return evals.min(axis=0), evals.max(axis=0)
+
+
+@pytest.mark.parametrize("ratio", [1.0, 0.5, 2.0, 0.1, 1e-3, 3.7])
+def test_two_point_edges_match_the_four_point_reference(ratio):
+    # at extreme anisotropy a mixed point can win the four-point min/max by
+    # roundoff only, so the edges agree to 1e-13 max|kappa|
+    tol = 1e-13 * max(1.0, ratio)
+    fluxes = farey_fluxes(24)
+    rows = butterfly(ratio, fluxes)
+    reference = [_four_point_edges(1.0, ratio, flux) for flux in fluxes]
+    lo, hi = (np.concatenate(edges) for edges in zip(*reference))
+    np.testing.assert_allclose(rows[:, 1], lo, rtol=0, atol=tol)
+    np.testing.assert_allclose(rows[:, 2], hi, rtol=0, atol=tol)
+    for flux, (lo, hi) in zip(fluxes, reference):
+        bands = np.array(harper_bands(_hoppings(1.0, ratio, flux), flux).intervals)
+        np.testing.assert_allclose(bands, np.column_stack([lo, hi]), rtol=0, atol=tol)
+
+
+def test_one_stacked_eigensolve_per_denominator(monkeypatch):
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a):
+        shapes.append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    fluxes = farey_fluxes(12)
+    butterfly(0.7, fluxes)
+    per_q = Counter(f.q for f in fluxes)
+    assert len(shapes) == 12  # 47 fluxes, one call per distinct q
+    assert shapes == [(per_q[q], 2, q, q) for q in sorted(per_q)]
+    shapes.clear()
+    flux = RationalFlux(2, 5)
+    harper_bands(_hoppings(1.0, 0.7, flux), flux)
+    assert shapes == [(1, 2, 5, 5)]  # two matrices
+
+
+@pytest.mark.parametrize("ratio", [1.0, 0.3317, 2.5])
+def test_butterfly_rows_equal_harper_bands_bitwise(ratio):
+    fluxes = farey_fluxes(12)
+    rows = butterfly(ratio, fluxes)
+    start = 0
+    for flux in fluxes:
+        bands = harper_bands(_hoppings(1.0, ratio, flux), flux)
+        block = rows[start:start + flux.q]
+        assert np.all(block[:, 0] == flux.alpha)
+        assert np.array_equal(block[:, 1:], np.array(bands.intervals))
+        start += flux.q
+    assert start == len(rows)
+
+
+def test_butterfly_of_no_fluxes_is_empty():
+    assert butterfly(1.0, []).shape == (0,)
