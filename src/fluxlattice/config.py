@@ -12,7 +12,8 @@ that violate the grammar or a physical-domain constraint (CLI exit 3).
 Validation is fail-fast: every object a run uses, the effective hoppings
 of its drives included, is built once during loading and kept on the
 Scenario, so a config that loads cleanly will not blow up mid-run on a bad
-parameter, and the runner builds none of them again.
+parameter.  The runner only rebuilds the hoppings a ``hoppings`` run
+reports, one set per route, from the drive checked here.
 """
 
 from __future__ import annotations
@@ -50,44 +51,23 @@ class ValidationError(Exception):
     """Config readable but semantically invalid (CLI exit 3)."""
 
 
-KINDS = ("full_evolve", "effective_evolve", "semiclassical",
-         "hoppings", "spectrum", "compare", "units")
-
 _WAVEFORM_FACTORIES = {
     "sinusoidal": Waveform.sinusoidal,
     "delta_kicks": Waveform.delta_kicks,
 }
 
-_UNITS_KEYS = ("J_per_cm", "Gamma", "omega_over_J", "M", "d_m", "lambda_m", "n_s")
-
-_SECTION_KEYS = {
-    "scenario": {"kind", "label"},
-    "drive": {"waveform", "omega", "Gamma", "M", "sigma", "rho", "beta0"},
-    "coupling": {"J_x", "J_y", "method"},
-    "lattice": {"n_half", "m_half"},
-    "input": {"width", "tilt", "imprint"},
-    "time": {"t_max", "dt_sample", "stroboscopic", "t_start"},
-    "integrator": {f.name for f in dataclass_fields(IntegratorOptions)},
-    "output": {"fields", "profile", "com"},
-    "spectrum": {"flux", "k_grid"},
-    "compare": {"omegas"},
-    "units": {*_UNITS_KEYS, "J_t_max"},
-}
-
-_EVOLVE_SECTIONS = ({"scenario", "drive", "coupling", "lattice", "input", "time"},
-                    {"integrator", "output"})
+_RUN_SECTIONS = {"scenario", "drive", "coupling", "lattice", "input", "time"}
 _KIND_SECTIONS = {
     # kind: (required sections, additionally allowed sections)
-    "full_evolve": _EVOLVE_SECTIONS,
-    "effective_evolve": _EVOLVE_SECTIONS,
-    "semiclassical": ({"scenario", "drive", "coupling", "lattice", "input", "time"},
-                      set()),
+    "full_evolve": (_RUN_SECTIONS, {"integrator", "output"}),
+    "effective_evolve": (_RUN_SECTIONS, {"integrator", "output"}),
+    "semiclassical": (_RUN_SECTIONS, set()),
     "hoppings": ({"scenario", "drive", "coupling"}, set()),
     "spectrum": ({"scenario", "drive", "coupling"}, {"spectrum"}),
-    "compare": ({"scenario", "drive", "coupling", "lattice", "input", "time",
-                 "compare"}, {"integrator"}),
+    "compare": (_RUN_SECTIONS | {"compare"}, {"integrator"}),
     "units": ({"scenario", "units"}, set()),
 }
+KINDS = tuple(_KIND_SECTIONS)
 
 
 # -- token parsing ----------------------------------------------------------
@@ -171,6 +151,73 @@ def parse_flux_spec(value) -> str:
     return f"{parse_int(num)}/{parse_int(den)}"
 
 
+def _text(value) -> str:
+    return str(value).strip()
+
+
+def _checked(parse, ok, message: str):
+    """``parse``, then raise ValidationError(message.format(value)) unless ok(value)."""
+    def parse_checked(value):
+        if not ok(value := parse(value)):
+            raise ValidationError(message.format(value))
+        return value
+    return parse_checked
+
+
+# -- key table ----------------------------------------------------------------
+
+_REQUIRED = object()
+
+
+class _SameAs(str):
+    """Default that copies another key of its section: label = kind, m_half = n_half."""
+
+
+_REAL, _INT = (parse_real, _REQUIRED), (parse_int, _REQUIRED)
+_half_size = _checked(parse_int, lambda n: n >= 0, "lattice half-sizes must be >= 0")
+
+# section -> key -> (parser, default), in the order a config records them.
+# _REQUIRED: the key must be given; None: optional, and not recorded when
+# absent; _SameAs(k): the value of key k.  A parser raises ConfigError on a
+# bad token and ValidationError on a value its key alone rules out.
+_KEYS = {
+    "scenario": {
+        "kind": (_checked(_text, KINDS.__contains__,
+                          f"unknown scenario kind {{!r}}; expected one of {KINDS}"), _REQUIRED),
+        "label": (_checked(_text, lambda s: s and not any(ch in s for ch in "/\\ \t"),
+                           "label {!r} must be a simple file stem"), _SameAs("kind"))},
+    "drive": {"waveform": (_checked(_text, _WAVEFORM_FACTORIES.__contains__,
+                                    "unknown waveform {!r}"), _REQUIRED),
+              "omega": _REAL, "Gamma": _REAL, "M": _INT, "sigma": _REAL, "rho": _REAL,
+              "beta0": (parse_real, 0.0)},
+    "coupling": {"J_x": _REAL, "J_y": _REAL,
+                 "method": (_checked(_text, ("auto", "closed", "quadrature").__contains__,
+                                     "unknown hopping method {!r}"), "auto")},
+    "lattice": {"n_half": (_half_size, _REQUIRED), "m_half": (_half_size, _SameAs("n_half"))},
+    # the input Gaussian divides by width**2, which must not underflow to 0
+    "input": {"width": (_checked(parse_real, lambda w: w > 0.0 and w * w > 0.0,
+                                 "input width must be positive, with a nonzero square"),
+                        _REQUIRED),
+              "tilt": (parse_real, 0.0), "imprint": (parse_bool, False)},
+    "time": {"t_max": (_checked(parse_real, lambda t: t > 0.0, "t_max must be positive"),
+                       _REQUIRED),
+             "stroboscopic": (parse_bool, False), "dt_sample": (parse_real, None),
+             "t_start": (_checked(parse_real, lambda t: t <= 0.0,
+                                  "t_start must be <= 0 (samples begin at 0)"), 0.0)},
+    "integrator": {f.name: (parse_real, f.default) for f in dataclass_fields(IntegratorOptions)},
+    "output": {"fields": (parse_bool, False), "profile": (parse_bool, True),
+               "com": (parse_bool, True)},
+    "spectrum": {"flux": (parse_flux_spec, "auto"),
+                 "k_grid": (_checked(parse_int, lambda k: k >= 32, "k_grid must be >= 32"), 64)},
+    "compare": {"omegas": (_checked(lambda v: list(parse_reals(v)),
+                                    lambda ws: ws and min(ws) > 0.0,
+                                    "omegas must be a nonempty list of positive rates"),
+                           _REQUIRED)},
+    "units": {"J_per_cm": _REAL, "Gamma": _REAL, "omega_over_J": _REAL, "M": _INT,
+              "d_m": _REAL, "lambda_m": _REAL, "n_s": _REAL, "J_t_max": (parse_real, 10.0)},
+}
+
+
 # -- scenario ---------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -183,7 +230,8 @@ class Scenario:
     ``drives`` (one per omega for compare, else one), ``hoppings`` aligned
     with ``drives`` (none for full_evolve), ``samples``, the sample count
     of each drive's run (evolutions only), the resolved spectrum ``fluxes``
-    and the ``units`` record.
+    and the ``units`` record.  A field of a section the kind does not take
+    is None.
     """
 
     kind: str
@@ -191,21 +239,21 @@ class Scenario:
     config: dict
     J_x: float | None = None
     J_y: float | None = None
-    method: str = "auto"
+    method: str | None = None
     window: LatticeWindow | None = None
     width: float | None = None
-    tilt: float = 0.0
-    imprint: bool = False
+    tilt: float | None = None
+    imprint: bool | None = None
     t_max: float | None = None
     dt_sample: float | None = None
-    stroboscopic: bool = False
-    t_start: float = 0.0
+    stroboscopic: bool | None = None
+    t_start: float | None = None
     integrator: IntegratorOptions | None = None
-    out_fields: bool = False
-    out_profile: bool = True
-    out_com: bool = True
-    flux_spec: str = "auto"
-    k_grid: int = 64
+    out_fields: bool | None = None
+    out_profile: bool | None = None
+    out_com: bool | None = None
+    flux_spec: str | None = None
+    k_grid: int | None = None
     omegas: tuple[float, ...] = ()
     drives: tuple[DriveSpec, ...] = ()
     hoppings: tuple[EffectiveHoppings, ...] = ()
@@ -237,142 +285,90 @@ def _drive(params: dict, omega: float) -> DriveSpec:
         beta0=params["beta0"])
 
 
-def _text(value) -> str:
-    return str(value).strip()
-
-
-_REQUIRED = object()
-
 # largest amplitude output a run may produce, in bytes (16 per site and
 # sample; a compare run produces two trajectories).  Runner runs stream
 # their samples and hold at most one of them or one Chebyshev block; only
 # an API caller that keeps the amplitudes stores them all.  It also bounds
 # the Bloch stack a spectrum solves for one denominator.
 _TRAJECTORY_BYTES_MAX = 2 ** 32
+# largest input a run may prepare, in bytes: every run with a window, a
+# semiclassical one too, builds its input in both frames (2 x 16 B a site)
+_WINDOW_BYTES_MAX = 2 ** 32
+
+
+def _read(given: dict, section: str, key: str):
+    """[section] key parsed from its raw keys ``given``; None if optional and absent."""
+    parse, default = _KEYS[section][key]
+    if isinstance(default, _SameAs):
+        default = given.get(default)
+    value = given.get(key, default)
+    if value is _REQUIRED:
+        raise ValidationError(f"missing required key [{section}] {key}")
+    return None if value is None and default is None else parse(value)
 
 
 def scenario_from_sections(sections: dict) -> Scenario:
-    """Validate a nested {section: {key: value}} mapping into a Scenario."""
+    """Validate a nested {section: {key: value}} mapping into a Scenario.
+
+    Each key is parsed and checked alone by its _KEYS row; here are the
+    kind's sections, the rules that tie keys together, and the run objects.
+    """
     if "scenario" not in sections:
         raise ValidationError("missing [scenario] section")
-    config: dict = {}
-
-    def read(section: str, key: str, parse, default=_REQUIRED):
-        """Parse [section] key, or take its default; record the value in config.
-
-        A key whose default is None is optional: absent, it reads None and
-        is not recorded.
-        """
-        value = sections.get(section, {}).get(key, default)
-        if value is _REQUIRED:
-            raise ValidationError(f"missing required key [{section}] {key}")
-        if value is None and default is None:
-            return None
-        value = parse(value)
-        config.setdefault(section, {})[key] = value
-        return value
-
-    kind = read("scenario", "kind", _text)
-    if kind not in KINDS:
-        raise ValidationError(f"unknown scenario kind {kind!r}; expected one of {KINDS}")
+    kind = _read(sections["scenario"], "scenario", "kind")
     required, extra = _KIND_SECTIONS[kind]
     allowed = required | extra
     for name in sections:
         if name not in allowed:
             raise ValidationError(f"section [{name}] not allowed for kind {kind!r}")
-        unknown = set(sections[name]) - _SECTION_KEYS[name]
+        unknown = set(sections[name]) - set(_KEYS[name])
         if unknown:
-            raise ValidationError(
-                f"unknown key(s) {sorted(unknown)} in section [{name}]")
+            raise ValidationError(f"unknown key(s) {sorted(unknown)} in section [{name}]")
     for name in required:
         if name not in sections:
             raise ValidationError(f"missing section [{name}] for kind {kind!r}")
+    if kind == "compare" and "omega" in sections["drive"]:
+        raise ValidationError("compare scenarios take omega from [compare] omegas")
 
-    label = read("scenario", "label", _text, kind)
-    if not label or any(ch in label for ch in "/\\ \t"):
-        raise ValidationError(f"label {label!r} must be a simple file stem")
-    fields: dict = {"kind": kind, "label": label, "config": config}
+    # [output] and [spectrum] are recorded with their defaults wherever they
+    # are allowed, every other section only when given
+    config: dict = {}
+    for name, keys in _KEYS.items():
+        if name in sections or name in allowed & {"output", "spectrum"}:
+            given = sections.get(name, {})
+            values = ((key, _read(given, name, key)) for key in keys
+                      if not (kind == "compare" and key == "omega"))
+            config[name] = {key: v for key, v in values if v is not None}
 
-    if "drive" in sections:
-        waveform = read("drive", "waveform", _text)
-        if waveform not in _WAVEFORM_FACTORIES:
-            raise ValidationError(f"unknown waveform {waveform!r}")
-        if kind != "compare":
-            read("drive", "omega", parse_real)
-        elif "omega" in sections["drive"]:
-            raise ValidationError("compare scenarios take omega from [compare] omegas")
-        read("drive", "Gamma", parse_real)
-        read("drive", "M", parse_int)
-        read("drive", "sigma", parse_real)
-        read("drive", "rho", parse_real)
-        read("drive", "beta0", parse_real, 0.0)
-        fields["J_x"] = read("coupling", "J_x", parse_real)
-        fields["J_y"] = read("coupling", "J_y", parse_real)
-        fields["method"] = read("coupling", "method", _text, "auto")
-        if fields["method"] not in ("auto", "closed", "quadrature"):
-            raise ValidationError(f"unknown hopping method {fields['method']!r}")
-
-    if "lattice" in sections:
-        n_half = read("lattice", "n_half", parse_int)
-        m_half = read("lattice", "m_half", parse_int, n_half)
-        if n_half < 0 or m_half < 0:
-            raise ValidationError("lattice half-sizes must be >= 0")
-        fields["window"] = LatticeWindow.centered(n_half, m_half)
-        fields["width"] = read("input", "width", parse_real)
-        if fields["width"] <= 0.0:
-            raise ValidationError("input width must be positive")
-        fields["tilt"] = read("input", "tilt", parse_real, 0.0)
-        fields["imprint"] = read("input", "imprint", parse_bool, False)
-        t_max = fields["t_max"] = read("time", "t_max", parse_real)
-        if t_max <= 0.0:
-            raise ValidationError("t_max must be positive")
-        strobo = read("time", "stroboscopic", parse_bool, False)
-        has_dt = sections["time"].get("dt_sample") is not None
+    if "time" in config:
+        time = config["time"]
         if kind == "compare":
             # deviation sampling only makes sense at whole drive periods
-            if has_dt:
+            if "dt_sample" in time:
                 raise ValidationError(
                     "compare scenarios sample stroboscopically; drop dt_sample")
-            strobo = config["time"]["stroboscopic"] = True
-        elif strobo and has_dt:
+            time["stroboscopic"] = True
+        elif time["stroboscopic"] and "dt_sample" in time:
             raise ValidationError("give either dt_sample or stroboscopic, not both")
-        elif not strobo and not has_dt:
+        elif not time["stroboscopic"] and "dt_sample" not in time:
             raise ValidationError("sampling needs dt_sample or stroboscopic = true")
-        fields["stroboscopic"] = strobo
-        dt = fields["dt_sample"] = read("time", "dt_sample", parse_real, None)
-        if dt is not None and not 0.0 < dt <= t_max:
+        dt = time.get("dt_sample")
+        if dt is not None and not 0.0 < dt <= time["t_max"]:
             raise ValidationError("dt_sample must lie in (0, t_max]")
-        t_start = fields["t_start"] = read("time", "t_start", parse_real, 0.0)
-        if t_start > 0.0:
-            raise ValidationError("t_start must be <= 0 (samples begin at 0)")
-        if kind == "semiclassical" and t_start != 0.0:
+        if kind == "semiclassical" and time["t_start"] != 0.0:
             raise ValidationError("semiclassical runs start at t = 0")
 
-    if "integrator" in sections:
-        for f in dataclass_fields(IntegratorOptions):
-            read("integrator", f.name, parse_real, f.default)
-
-    if "output" in allowed:
-        fields["out_fields"] = read("output", "fields", parse_bool, False)
-        fields["out_profile"] = read("output", "profile", parse_bool, True)
-        fields["out_com"] = read("output", "com", parse_bool, True)
-
-    if kind == "spectrum":
-        fields["flux_spec"] = read("spectrum", "flux", parse_flux_spec, "auto")
-        fields["k_grid"] = read("spectrum", "k_grid", parse_int, 64)
-        if fields["k_grid"] < 32:
-            raise ValidationError("k_grid must be >= 32")
-
-    if kind == "compare":
-        omegas = read("compare", "omegas", lambda v: list(parse_reals(v)))
-        if not omegas or any(w <= 0.0 for w in omegas):
-            raise ValidationError("omegas must be a nonempty list of positive rates")
-        fields["omegas"] = tuple(omegas)
-
-    if kind == "units":
-        for key in _UNITS_KEYS:
-            read("units", key, parse_int if key == "M" else parse_real)
-        read("units", "J_t_max", parse_real, 10.0)
+    fields: dict = {"config": config}
+    for name in ("scenario", "coupling", "input", "time"):  # keys named as fields
+        fields.update(config.get(name, {}))
+    fields.update((f"out_{key}", v) for key, v in config.get("output", {}).items())
+    if "lattice" in config:
+        fields["window"] = LatticeWindow.centered(**config["lattice"])
+    if "spectrum" in config:
+        fields["flux_spec"] = config["spectrum"]["flux"]
+        fields["k_grid"] = config["spectrum"]["k_grid"]
+    if "compare" in config:
+        fields["omegas"] = tuple(config["compare"]["omegas"])
 
     # build every object a run uses, once, so bad parameters fail here
     try:
@@ -404,7 +400,8 @@ def scenario_from_sections(sections: dict) -> Scenario:
 def _sample_counts(kind: str, fields: dict, drives) -> tuple[int, ...]:
     """Samples on [0, t_max] of each drive's run, every dt_sample or period.
 
-    Fails when a run's amplitudes would exceed _TRAJECTORY_BYTES_MAX.
+    Fails when a run's amplitudes would exceed _TRAJECTORY_BYTES_MAX, or
+    its input in both frames _WINDOW_BYTES_MAX.
     """
     counts = []
     for d in drives:
@@ -413,14 +410,17 @@ def _sample_counts(kind: str, fields: dict, drives) -> tuple[int, ...]:
         if not math.isfinite(steps):
             raise ValidationError("t_max / sample step overflows")
         counts.append(math.floor(steps + 1e-9) + 1)
+    Nn, Nm = fields["window"].shape
     if kind != "semiclassical":  # it keeps four means per sample, no field
-        Nn, Nm = fields["window"].shape
         size = max(counts) * Nn * Nm * 16 * (2 if kind == "compare" else 1)
         if size > _TRAJECTORY_BYTES_MAX:
             raise ValidationError(
                 f"{max(counts)} samples of {Nn}x{Nm} sites need {size:.3g} B of "
                 f"amplitudes, above the {_TRAJECTORY_BYTES_MAX} B limit; "
                 "raise dt_sample or shrink the window")
+    if 2 * Nn * Nm * 16 > _WINDOW_BYTES_MAX:
+        raise ValidationError(f"an input of {Nn}x{Nm} sites in both frames needs "
+                              f"{2 * Nn * Nm * 16:.3g} B, above the {_WINDOW_BYTES_MAX} B limit")
     return tuple(counts)
 
 
@@ -499,11 +499,9 @@ def expand_sweep(template_path, grid_path, out_dir) -> list[Path]:
             for key, values in keys.items()]
     if not axes:
         raise ValidationError("sweep grid is empty")
-    for section, key, values in axes:
-        if section not in _SECTION_KEYS or key not in _SECTION_KEYS[section]:
+    for section, key, _ in axes:
+        if key not in _KEYS.get(section, ()):
             raise ValidationError(f"grid key [{section}] {key} is not a config key")
-        if not values:
-            raise ValidationError(f"grid key [{section}] {key} has no values")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     base_label = base.get("scenario", {}).get("label", "").strip()

@@ -514,8 +514,8 @@ def gaussian_input(window: LatticeWindow, width: float, tilt: float = 0.0,
     at t_start itself, and imprinting the post-kick value too would count
     that kick twice.
     """
-    if not 0.0 < width < math.inf:
-        raise ValueError("width must be positive and finite")
+    if not 0.0 < width < math.inf or width * width == 0.0:  # 0/0 at the origin below
+        raise ValueError(f"width must be positive and finite, with a nonzero square: {width!r}")
     if not math.isfinite(tilt):
         raise ValueError("tilt must be finite")
     n, m = window.n_grid, window.m_grid

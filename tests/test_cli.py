@@ -208,6 +208,24 @@ def test_compare_scenario_constraints():
         scenario_from_sections(bad3)
 
 
+def test_readme_key_table_matches_the_config_table():
+    # README's table of sections and keys is the key table of config, row by row
+    from fluxlattice.config import _KEYS, _REQUIRED
+
+    def default(value):
+        return str(value).lower() if isinstance(value, bool) else str(value)
+
+    expected = [(f"`[{name}]`",
+                 ", ".join(f"`{k}`" for k, (_, d) in keys.items() if d is _REQUIRED),
+                 ", ".join(f"`{k}`" if d is None else f"`{k} = {default(d)}`"
+                           for k, (_, d) in keys.items() if d is not _REQUIRED))
+                for name, keys in _KEYS.items()]
+    readme = (CONFIGS.parent / "README.md").read_text(encoding="utf-8")
+    rows = [tuple(cell.strip() for cell in line.strip().strip("|").split("|"))
+            for line in readme.splitlines() if line.startswith("| `[")]
+    assert rows == expected
+
+
 def test_units_scenario_requires_all_keys():
     cfg = {"scenario": {"kind": "units", "label": "u"},
            "units": {"J_per_cm": "1", "Gamma": "0.717", "omega_over_J": "8",
@@ -626,6 +644,25 @@ def test_oversized_trajectory_fails_validation(tmp_path, capsys):
            .replace("dt_sample = 0.2", "dt_sample = 1e-6"))
     assert main(["validate", str(_write(tmp_path, "big.ini", ini))]) == 3
     assert "100001 samples of 801x801 sites" in capsys.readouterr().err
+
+
+def test_oversized_semiclassical_window_fails_validation(tmp_path, capsys):
+    # 40001x40001 sites: the input in both frames would take 51 GB although
+    # the run keeps no field; validated only, never run
+    ini = (EFFECTIVE_INI.split("[integrator]")[0]
+           .replace("kind = effective_evolve", "kind = semiclassical")
+           .replace("n_half = 2", "n_half = 20000"))
+    assert main(["validate", str(_write(tmp_path, "big.ini", ini))]) == 3
+    assert "40001x40001 sites" in capsys.readouterr().err
+
+
+def test_underflowing_width_fails_at_load(tmp_path, capsys):
+    # width**2 = 0 would put 0/0 at the origin of the input Gaussian
+    cfg = _write(tmp_path, "eff.ini", EFFECTIVE_INI.replace("width = 1.5", "width = 1e-200"))
+    assert main(["validate", str(cfg)]) == 3
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path), "--quiet"]) == 3
+    assert "width" in capsys.readouterr().err
+    assert not list(tmp_path.glob("eff_*"))
 
 
 @pytest.mark.parametrize("flux", ["1/100000", "farey:3000"])

@@ -715,6 +715,12 @@ def test_gaussian_input_imprint():
         gaussian_input(w, 0.0)
 
 
+def test_gaussian_input_rejects_a_width_whose_square_underflows():
+    # 1e-200 ** 2 is 0, which would put 0/0 at the origin
+    with pytest.raises(ValueError, match="width"):
+        gaussian_input(LatticeWindow.centered(2), 1e-200)
+
+
 def test_gaussian_input_rejects_non_finite():
     w = LatticeWindow.centered(2)
     for width, tilt in ((math.nan, 0.0), (math.inf, 0.0), (1.5, math.nan),
