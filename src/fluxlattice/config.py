@@ -175,6 +175,11 @@ class _SameAs(str):
 
 _REAL, _INT = (parse_real, _REQUIRED), (parse_int, _REQUIRED)
 _half_size = _checked(parse_int, lambda n: n >= 0, "lattice half-sizes must be >= 0")
+# largest |Gamma|.  Loading a sinusoidal drive costs time and memory linear
+# in Gamma (Miller's recurrence for J_v(2 Gamma sin(sigma/2)) starts near
+# that order); at the cap validate takes 0.1 s and 7 MB more, and a phase
+# Gamma G carries 2e-12 rad of rounding.  The paper's drives have Gamma ~ 1.
+_GAMMA_MAX = 1e4
 
 # section -> key -> (parser, default), in the order a config records them.
 # _REQUIRED: the key must be given; None: optional, and not recorded when
@@ -188,7 +193,10 @@ _KEYS = {
                            "label {!r} must be a simple file stem"), _SameAs("kind"))},
     "drive": {"waveform": (_checked(_text, _WAVEFORM_FACTORIES.__contains__,
                                     "unknown waveform {!r}"), _REQUIRED),
-              "omega": _REAL, "Gamma": _REAL, "M": _INT, "sigma": _REAL, "rho": _REAL,
+              "omega": _REAL,
+              "Gamma": (_checked(parse_real, lambda g: abs(g) <= _GAMMA_MAX,
+                                 f"|Gamma| must be <= {_GAMMA_MAX:g}, got {{}}"), _REQUIRED),
+              "M": _INT, "sigma": _REAL, "rho": _REAL,
               "beta0": (parse_real, 0.0)},
     "coupling": {"J_x": _REAL, "J_y": _REAL,
                  "method": (_checked(_text, ("auto", "closed", "quadrature").__contains__,

@@ -28,8 +28,10 @@ Each propagator makes its samples one at a time (evolve_effective one
 Chebyshev block at a time) and hands each to one reducer, _Run, which
 reads it once: its norm and edge-ring mass, and, as the caller's keep
 asks, its _SampleSums row or a copy into the (T, Nn, Nm) stack.  Runner
-runs keep no stack, so they hold at most one sample or one block; only
-API callers that keep the amplitudes (the default) store them all.  The
+runs keep no stack, so they hold at most one sample or one block, and a
+block holds at most effective._BLOCK_BYTES of samples (32 MiB; one sample
+if a sample alone is larger); only API callers that keep the amplitudes
+(the default) store them all.  The
 trajectory cap of config still counts the bytes a run produces, and
 validate still exits 3 on it.
 
@@ -194,8 +196,8 @@ class _SampleSums(NamedTuple):
         w.sum(axis=0, out=self.cols[i])
         flat = f.ravel()
         self.link_x[i] = np.vdot(flat[:-Nm], flat[Nm:])
-        # row n as a (1, Nm-1) @ (Nm-1, 1) product: faster than einsum
-        self.link_y[i] = (f[:, None, :-1].conj() @ f[:, 1:, None])[:, 0, 0]
+        # vecdot conjugates its first argument itself: no conjugated copy
+        np.vecdot(f[:, :-1], f[:, 1:], out=self.link_y[i])
 
     def frozen(self) -> _SampleSums:
         for a in self:  # shared by every reader of the trajectory

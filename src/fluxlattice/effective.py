@@ -48,7 +48,8 @@ __all__ = [
 ]
 
 _BLOCK_SPAN = 4.0  # largest R (t - t_b) one Chebyshev basis serves
-_CHEBYSHEV_CHUNK = 32  # T_k(H/R) psi vectors held at once
+_CHEBYSHEV_CHUNK = 32  # U_k vectors held at once
+_BLOCK_BYTES = 32 * 2**20  # largest block of samples, at 16 B a site
 
 
 def _effective_links(window: LatticeWindow, hoppings: EffectiveHoppings):
@@ -63,28 +64,28 @@ def effective_matrix(window: LatticeWindow, hoppings: EffectiveHoppings):
 
 
 def _chebyshev_block(hop2: _Hop, psi: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
-    """out[i] = exp(-i x_i Hs) psi = sum_k (2 - delta_k0) (-i)^k J_k(x_i) T_k(Hs) psi.
+    """out[i] = exp(-i x_i Hs) psi = sum_k (2 - delta_k0) J_k(x_i) U_k.
 
-    hop2 applies 2 Hs.  The series is sized by the Bessel tail bound: it
-    stops before _tail_order(max x), past which the coefficients of every row
-    sum to below 4e-17.  The T_k(Hs) psi pass through a _CHEBYSHEV_CHUNK-row
-    buffer, flushed into out when full.
+    hop2 applies -2i Hs, so U_k = (-i)^k T_k(Hs) psi = hop2(U_(k-1)) + U_(k-2)
+    has real coefficients.  The series stops before _tail_order(max x), past
+    which the coefficients of every row sum to below 4e-17.  The U_k pass
+    through a _CHEBYSHEV_CHUNK-row buffer, flushed as one real product.
     """
     terms = _tail_order(float(np.max(x)))
-    k = np.arange(terms)
-    c = np.where(k == 0, 1.0, 2.0) * (-1j) ** (k % 4) * bessel_table(terms - 1, x)
+    c = np.where(np.arange(terms), 2.0, 1.0) * bessel_table(terms - 1, x)
     buf = np.empty((min(_CHEBYSHEV_CHUNK, terms), psi.size), dtype=complex)
+    buf_f, out_f = buf.view(float), out.view(float)
     for k in range(terms):
         j = k % len(buf)
         if k < 2:
             buf[k] = 0.5 * hop2(psi) if k else psi
-        else:  # T_k = 2 Hs T_(k-1) - T_(k-2); rows j-1 and j-2 wrap around
-            np.subtract(hop2(buf[j - 1]), buf[j - 2], out=buf[j])
+        else:  # rows j-1 and j-2 wrap around
+            np.add(hop2(buf[j - 1]), buf[j - 2], out=buf[j])
         if j == len(buf) - 1 or k == terms - 1:
             if k == j:
-                np.matmul(c[:, :k + 1], buf[:k + 1], out=out)
+                np.matmul(c[:, :k + 1], buf_f[:k + 1], out=out_f)
             else:
-                out += c[:, k - j:k + 1] @ buf[:j + 1]
+                out_f += c[:, k - j:k + 1] @ buf_f[:j + 1]
 
 
 def evolve_effective(initial: WaveField, hoppings: EffectiveHoppings, t_samples,
@@ -94,11 +95,13 @@ def evolve_effective(initial: WaveField, hoppings: EffectiveHoppings, t_samples,
 
     exp(-i H dt) is a Chebyshev series in H/R, R = 2(|kappa_x| + |kappa_y|)
     >= ||H|| (Tal-Ezer and Kosloff 1984).  From the state at a block start
-    t_b, one set of T_k(H/R) psi(t_b) serves every following sample with
-    R (t - t_b) <= _BLOCK_SPAN (at least one), each a row of one matrix
-    product; the block's last sample starts the next.  A sample at or before
-    t_start is the input.  opts.dt_max has no effect; the drift and
-    edge-mass checks still apply.  keep is evolve_full's.
+    t_b, one set of U_k = (-i)^k T_k(H/R) psi(t_b) serves every following
+    sample with R (t - t_b) <= _BLOCK_SPAN (at least one, and at most
+    _BLOCK_BYTES of samples), each a row of one product with the real
+    coefficients (2 - delta_k0) J_k(R (t - t_b)); the block's last sample
+    starts the next.  A sample at or before t_start is the input.
+    opts.dt_max has no effect; the drift and edge-mass checks still apply.
+    keep is evolve_full's.
     """
     return _effective_run(initial, hoppings, t_samples, opts, t_start, keep).trajectory()
 
@@ -114,14 +117,14 @@ def _effective_run(initial: WaveField, hoppings: EffectiveHoppings, t_samples,
     t = _check_samples(t_samples, t_start)
     kx, ky = abs(hoppings.kappa_x), abs(hoppings.kappa_y)
     R = 2.0 * (kx + ky) or 1.0
-    hop2 = _Hop(window, *_effective_links(window, hoppings), scale=2.0 / R)
+    hop2 = _Hop(window, *_effective_links(window, hoppings), scale=-2j / R)
 
     def samples(psi):
         block = np.empty((0, psi.size), dtype=complex)
-        start, t_b = 0, t_start
+        start, t_b, rows = 0, t_start, _BLOCK_BYTES // (16 * psi.size)
         while start < t.size:
-            stop = max(start + 1, int(np.searchsorted(t, t_b + _BLOCK_SPAN / R,
-                                                      side="right")))
+            stop = max(start + 1, min(start + rows, int(np.searchsorted(
+                t, t_b + _BLOCK_SPAN / R, side="right"))))
             x = R * np.maximum(t[start:stop] - t_b, 0.0)
             if len(block) < x.size:
                 block = np.empty((x.size, psi.size), dtype=complex)

@@ -677,6 +677,18 @@ def test_oversized_spectrum_fails_validation(tmp_path, capsys, flux):
     assert "Bloch stacks above" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("gamma, code", [("1e7", 3), ("-1e7", 3), ("10001", 3),
+                                         ("1e4", 0), ("-1e4", 0)])
+def test_large_gamma_fails_fast_at_load(tmp_path, capsys, gamma, code):
+    # loading a sinusoidal drive costs time and memory linear in Gamma, so
+    # |Gamma| past the cap is refused before any Bessel function is summed
+    ini = HOPPINGS_INI.replace("Gamma = 0.717", f"Gamma = {gamma}")
+    start = time.perf_counter()
+    assert main(["validate", str(_write(tmp_path, "g.ini", ini))]) == code
+    assert time.perf_counter() - start < 1.0
+    assert ("|Gamma| must be <= 10000" in capsys.readouterr().err) == bool(code)
+
+
 def test_output_format_is_pinned(tmp_path):
     # CRLF line ends, %.12g floats, integers and 0/1 flags without ".0",
     # one header line except on the field matrices, and RunResult.metadata

@@ -25,6 +25,7 @@ from fluxlattice import (
     semiclassical_evolve,
 )
 from fluxlattice import effective as effective_module
+from fluxlattice.dynamics import _sample_sums
 from fluxlattice.hopping import _tail_order, bessel_table
 from fluxlattice.observables import com_path
 
@@ -140,6 +141,94 @@ def test_chebyshev_series_is_sized_by_the_bessel_bound(rng, monkeypatch):
         # every coefficient (2 - delta_k0) J_k(x) left out is below 1e-16
         dropped = 2.0 * np.abs(jv(np.arange(top + 1, 60)[:, None], x))
         assert np.all(dropped < 1e-16)
+
+
+def _complex_chebyshev_block(hop2, psi, x, out):
+    # the block with complex coefficients (2 - delta_k0) (-i)^k J_k(x) on
+    # T_k(Hs) psi; hop2 applies 2 Hs
+    terms = _tail_order(float(np.max(x)))
+    k = np.arange(terms)
+    c = np.where(k == 0, 1.0, 2.0) * (-1j) ** (k % 4) * bessel_table(terms - 1, x)
+    buf = np.empty((min(32, terms), psi.size), dtype=complex)
+    for k in range(terms):
+        j = k % len(buf)
+        if k < 2:
+            buf[k] = 0.5 * hop2(psi) if k else psi
+        else:
+            np.subtract(hop2(buf[j - 1]), buf[j - 2], out=buf[j])
+        if j == len(buf) - 1 or k == terms - 1:
+            if k == j:
+                np.matmul(c[:, :k + 1], buf[:k + 1], out=out)
+            else:
+                out += c[:, k - j:k + 1] @ buf[:j + 1]
+
+
+def test_real_coefficients_match_the_complex_form(rng, monkeypatch):
+    # several blocks, and one gap whose series needs more than the 32 buffered
+    # vectors, so that a block flushes more than once
+    h = _fig_hoppings()
+    R = 2.0 * (abs(h.kappa_x) + abs(h.kappa_y))
+    assert _tail_order(20.0) > 32
+    ts = np.concatenate([np.linspace(0.0, 3.0, 61), 3.0 + 20.0 / R + np.linspace(0.0, 1.0, 11)])
+    field = _random_field(rng, LatticeWindow.centered(12))
+    real = evolve_effective(field, h, ts)
+    terms = []
+
+    def complex_block(hop2, psi, x, out):  # 1j * hop2 applies 2 Hs
+        terms.append(_tail_order(float(np.max(x))))
+        _complex_chebyshev_block(lambda v: 1j * hop2(v), psi, x, out)
+
+    monkeypatch.setattr(effective_module, "_chebyshev_block", complex_block)
+    ref = evolve_effective(field, h, ts)
+    assert len(terms) >= 4 and max(terms) > 32
+    assert np.max(np.abs(real.amplitudes - ref.amplitudes)) <= 1e-14
+
+
+def test_a_chebyshev_block_holds_at_most_its_byte_budget(monkeypatch):
+    # on 101 x 101 sites one span of R (t - t_b) = 4 holds twice the samples
+    # the budget allows, so the span is cut into budget-sized blocks
+    held, block = [], effective_module._chebyshev_block
+
+    def spy(hop2, psi, x, out):
+        held.append(out.shape[0] * psi.size * 16)
+        block(hop2, psi, x, out)
+
+    monkeypatch.setattr(effective_module, "_chebyshev_block", spy)
+    budget = effective_module._BLOCK_BYTES
+    w = LatticeWindow.centered(50)
+    h = EffectiveHoppings(1.0, 1.0, alpha=0.1, M=1, sigma=0.2 * PI, rho=PI)  # R = 4
+    sites = w.shape[0] * w.shape[1]
+    ts = np.linspace(0.0, 1.0, 2 * budget // (16 * sites))
+    assert ts.size * sites * 16 > budget
+    amps = np.zeros(w.shape)
+    amps[50, 50] = 1.0
+    evolve_effective(WaveField(w, amps), h, ts, keep="final")
+    assert len(held) >= 2 and max(held) <= budget
+    assert sum(held) == ts.size * sites * 16
+
+
+def test_capped_blocks_give_the_same_samples(rng, monkeypatch):
+    # a budget of three samples a block, or below one sample, changes only
+    # where the blocks start
+    h = _fig_hoppings()
+    w = LatticeWindow.centered(6)
+    ts = np.linspace(0.0, 2.0, 41)
+    field = _random_field(rng, w)
+    ref = evolve_effective(field, h, ts)
+    for budget in (3 * 16 * 13 * 13, 1):
+        monkeypatch.setattr(effective_module, "_BLOCK_BYTES", budget)
+        traj = evolve_effective(field, h, ts)
+        assert np.max(np.abs(traj.amplitudes - ref.amplitudes)) <= 1e-13
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (7, 1), (2, 2), (9, 13), (25, 25)])
+def test_row_correlators_match_a_vdot_loop(rng, shape):
+    f = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    expect = np.array([np.vdot(row[:-1], row[1:]) for row in f])
+    got = _sample_sums(f[None]).link_y[0]
+    # relative to each row's sum of |f*[n,m] f[n,m+1]|, which no cancellation shrinks
+    scale = (np.abs(f[:, :-1]) * np.abs(f[:, 1:])).sum(axis=1)
+    assert np.all(np.abs(got - expect) <= 1e-15 * scale)
 
 
 def test_dt_max_does_not_steer_effective_runs(rng):
