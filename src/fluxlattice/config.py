@@ -104,7 +104,7 @@ def parse_int(value) -> int:
     if isinstance(value, int):
         return value
     if isinstance(value, float):
-        if value != int(value):
+        if not value.is_integer():  # also false for inf and nan
             raise ConfigError(f"expected an integer, got {value!r}")
         return int(value)
     try:

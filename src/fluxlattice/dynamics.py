@@ -25,15 +25,18 @@ not corrected, and every trajectory records the norms of the samples it
 returns so the budget can be audited after the fact.
 
 Each propagator makes its samples one at a time (evolve_effective one
-Chebyshev block at a time) and hands each to one reducer, _Run, which
-reads it once: its norm and edge-ring mass, and, as the caller's keep
-asks, its _SampleSums row or a copy into the (T, Nn, Nm) stack.  Runner
-runs keep no stack, so they hold at most one sample or one block, and a
-block holds at most effective._BLOCK_BYTES of samples (32 MiB; one sample
-if a sample alone is larger); only API callers that keep the amplitudes
-(the default) store them all.  The
-trajectory cap of config still counts the bytes a run produces, and
-validate still exits 3 on it.
+Chebyshev block of at most effective._BLOCK_BYTES at a time) and hands
+each to one reducer, _Run, which reads it once.  Runner runs keep no
+stack, so they hold one sample or one block; API callers that keep the
+amplitudes (the default) store them all, and config's trajectory cap
+counts the bytes a run produces either way.
+
+The hopping is the one operator a run applies: _neighbor_diagonals gives
+it as a sorted {offset: coefficient} map, which _neighbor_matrix exports
+to CSR and _Hop applies in the RK4 stages and the Chebyshev recurrence:
+the lowest diagonal's product is written into the rows it covers, only
+the rows it leaves are zeroed, and the others are added through a scratch
+buffer in ascending offset order, as a CSR row does.
 
 Every exp(+-i theta) of a run (RK4 stages, the input at t_start, each
 returned sample, each kick span) is core._GaugePhase.unit: Nm column factors
@@ -46,14 +49,10 @@ The delta-kick train takes no step.  Between kicks beta = beta0 + F m is
 static, so U = U_x (x) U_y is exact from one eigh of each chain, the Nm
 one tilted (the Wannier-Stark propagator; Hartmann, Keck, Korsch &
 Mossmann, New J. Phys. 6, 2 (2004)).  f is continuous across the kicks,
-which live in the square wave G of theta.  A span from one sample to the
-next maps f to the lab frame once and stops at the kicks that G's right
-branch does not count at its start and its left branch counts at its end
-(core._GaugePhase.kick_times; every kick decision is a core._kick_count
-on G's own phases), and the rest act at the ends.  Each stop applies the
-kicks since the last as one on-site phase from G's post-kick branches,
-which telescope, so each kick acts once.  Inputs are mapped in with the
-pre-kick branch at t_start, so the first span applies a kick there once.
+which live in the square wave G of theta; each span stops where
+_split_span says, every kick decision being a core._kick_count on G's own
+phases, so each kick acts once.  Inputs are mapped in with the pre-kick
+branch at t_start, so the first span applies a kick there once.
 """
 
 from __future__ import annotations
@@ -295,55 +294,54 @@ class _Run:
 # assembly and stepping
 
 
+def _neighbor_diagonals(window: LatticeWindow, up_x, up_y, scale=1.0) -> dict:
+    """scale * H_hop as _Hop's map (module docstring): up_x on c[n+1,m] and
+    up_y, a scalar or one per column n, on c[n,m+1], with their conjugates."""
+    Nn, Nm = window.shape
+    diagonals = {}
+    if Nn > 1:
+        diagonals[-Nm], diagonals[Nm] = scale * np.conj(complex(up_x)), scale * complex(up_x)
+    if Nm > 1:
+        col = np.broadcast_to(np.asarray(up_y, dtype=complex).ravel(), (Nn,))
+        dy = np.repeat(col, Nm)[:-1]
+        dy[Nm - 1::Nm] = 0.0  # no wrap across column ends
+        diagonals[-1], diagonals[1] = scale * dy.conj(), scale * dy
+    return dict(sorted(diagonals.items()))
+
+
 class _Hop:
-    """v -> scale * H v, H the hopping matrix on the flattened window (i = n*Nm+m).
+    """v -> A v into self.out, A = {offset k: coefficient} with |k| < size:
+    row i of diagonal k scales v[i+k] by a scalar or by its entry of a
+    per-row array.  One pass per diagonal (module docstring)."""
 
-    up_x is the coefficient on c[n+1,m], up_y the one on c[n,m+1]; up_y may
-    be a per-column (length Nn) array for column-dependent link phases.
-    Conjugate entries are filled in automatically.  H is four diagonals:
-    the scalar x-hop at offsets -Nm, +Nm and the y-hop array at -1, +1,
-    zeroed at column ends.  Each call adds them in ascending offset order,
-    as a CSR row does, into the same out buffer and returns it.
-    """
-
-    def __init__(self, window: LatticeWindow, up_x, up_y, scale=1.0):
-        Nn, Nm = window.shape
-        N = Nn * Nm
-        diagonals = {}
-        if Nn > 1:
-            diagonals[-Nm] = scale * np.conj(complex(up_x))
-            diagonals[Nm] = scale * complex(up_x)
-        if Nm > 1:
-            col = np.broadcast_to(np.asarray(up_y, dtype=complex).ravel(), (Nn,))
-            dy = np.repeat(col, Nm)[:-1]
-            dy[Nm - 1::Nm] = 0.0  # no wrap across column ends
-            diagonals[-1] = scale * dy.conj()
-            diagonals[1] = scale * dy
-        self.diagonals = dict(sorted(diagonals.items()))
-        self.out, tmp = np.empty(N, dtype=complex), np.empty(N, dtype=complex)
-        self._terms = []  # (coefficient, source slice, out view, tmp view)
-        for k, d in self.diagonals.items():
-            a, b = max(k, 0), max(-k, 0)  # rows b:N-a gain d * v[a:N-b]
-            self._terms.append((d, slice(a, N - b), self.out[b:N - a], tmp[b:N - a]))
+    def __init__(self, diagonals: dict, size: int):
+        self.out, tmp = np.empty(size, dtype=complex), np.empty(size, dtype=complex)
+        k0 = min(diagonals, default=-size)  # with no diagonal every row is zeroed
+        self._zero = self.out[:-k0] if k0 < 0 else self.out[size - k0:]  # rows k0 leaves
+        self._terms = []  # (d, source, product, rows it is added to: None for k0)
+        for k, d in sorted(diagonals.items()):
+            a, b = max(k, 0), max(-k, 0)  # rows b:size-a gain d * v[a:size-b]
+            rows, src = self.out[b:size - a], slice(a, size - b)
+            self._terms.append((d, src, rows, None) if k == k0 else
+                               (d, src, tmp[b:size - a], rows))
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
-        self.out.fill(0.0)
-        for d, src, out, tmp in self._terms:
-            np.multiply(d, v[src], out=tmp)
-            out += tmp
+        self._zero.fill(0.0)
+        for d, src, prod, rows in self._terms:
+            np.multiply(d, v[src], out=prod)
+            if rows is not None:
+                rows += prod
         return self.out
 
 
 def _neighbor_matrix(window: LatticeWindow, up_x, up_y):
-    """_Hop's matrix in scipy CSR form (scipy is imported here only)."""
+    """_neighbor_diagonals in scipy CSR form (scipy is imported here only)."""
     from scipy import sparse
 
-    hop = _Hop(window, up_x, up_y)
-    N = hop.out.size
-    if not hop.diagonals:
-        return sparse.csr_matrix((N, N), dtype=complex)
-    return sparse.diags(list(hop.diagonals.values()), list(hop.diagonals),
-                        shape=(N, N), format="csr", dtype=complex)
+    N, diagonals = math.prod(window.shape), _neighbor_diagonals(window, up_x, up_y)
+    return (sparse.diags(list(diagonals.values()), list(diagonals), shape=(N, N),
+                         format="csr", dtype=complex)
+            if diagonals else sparse.csr_matrix((N, N), dtype=complex))
 
 
 def _step_size(drive: DriveSpec, J_x: float, J_y: float,
@@ -412,7 +410,7 @@ def _split_span(drive: DriveSpec, window: LatticeWindow, J_x: float,
     branch does not count at t_a and its left branch counts at t_b
     (_GaugePhase.kick_times), the rest acting at the ends; each piece is
     U_x (x) U_y, and each stop applies the kicks since the last one as one
-    phase (_GaugePhase.kick).
+    phase from G's post-kick branches, which telescope (_GaugePhase.kick).
     """
     Nn, Nm = window.shape
     lx, vx = np.linalg.eigh(-J_x * (np.eye(Nn, k=1) + np.eye(Nn, k=-1)))
@@ -478,7 +476,7 @@ def _full_run(initial: WaveField, drive: DriveSpec, J_x: float, J_y: float,
     if h is None:
         span = _split_span(drive, window, J_x, J_y, theta)
     else:
-        hop = _Hop(window, -J_x, -J_y, scale=-1j)
+        hop = _Hop(_neighbor_diagonals(window, -J_x, -J_y, scale=-1j), f0.size)
         e, e_conj, w = (np.empty_like(f0) for _ in range(3))
         t_e = math.nan  # the time e holds: RK4 asks for each at most twice, in a row
 

@@ -28,6 +28,7 @@ from .dynamics import (
     Trajectory,
     _check_samples,
     _Hop,
+    _neighbor_diagonals,
     _neighbor_matrix,
     _rk4_span,
     _Run,
@@ -117,7 +118,8 @@ def _effective_run(initial: WaveField, hoppings: EffectiveHoppings, t_samples,
     t = _check_samples(t_samples, t_start)
     kx, ky = abs(hoppings.kappa_x), abs(hoppings.kappa_y)
     R = 2.0 * (kx + ky) or 1.0
-    hop2 = _Hop(window, *_effective_links(window, hoppings), scale=-2j / R)
+    hop2 = _Hop(_neighbor_diagonals(window, *_effective_links(window, hoppings),
+                                     scale=-2j / R), initial.amplitudes.size)
 
     def samples(psi):
         block = np.empty((0, psi.size), dtype=complex)

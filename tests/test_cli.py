@@ -19,6 +19,8 @@ from fluxlattice.config import (
     ConfigError,
     ValidationError,
     expand_sweep,
+    load_config,
+    load_sections,
     parse_bool,
     parse_flux_spec,
     parse_int,
@@ -526,6 +528,59 @@ def test_exit_codes_for_broken_configs(tmp_path, capsys):
     assert main(["validate", str(wrong)]) == 3
     err = capsys.readouterr().err
     assert "config error" in err and "validation error" in err
+
+
+def test_malformed_json_configs_fail_at_load(tmp_path, capsys):
+    for name, text in (("garbled.json", '{"scenario": '), ("list.json", "[1, 2]"),
+                       ("flat.json", '{"scenario": "hoppings"}')):
+        cfg = _write(tmp_path, name, text)
+        assert main(["validate", str(cfg)]) == 2
+        assert main(["run", str(cfg), "--out-dir", str(tmp_path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    for message in ("cannot parse JSON", "must be an object", "key/value objects"):
+        assert message in err
+    assert not list(tmp_path.glob("*_meta.json"))
+
+
+def test_semiclassical_runs_start_at_zero(tmp_path, capsys):
+    ini = (CONFIGS / "fig2_semiclassical.ini").read_text()
+    cfg = _write(tmp_path, "sc.ini", ini.replace("dt_sample = 0.5",
+                                                 "dt_sample = 0.5\nt_start = -0.1"))
+    assert main(["validate", str(cfg)]) == 3
+    assert "semiclassical runs start at t = 0" in capsys.readouterr().err
+
+
+def test_a_units_scenario_has_no_drive():
+    with pytest.raises(ValidationError, match="carries no drive"):
+        load_config(CONFIGS / "units.ini").drive
+
+
+def _json_with(tmp_path, ini_path, section, key, token):
+    """ini_path's sections as a JSON config, with section.key written as token."""
+    sections = load_sections(ini_path)
+    sections[section][key] = "@"
+    return _write(tmp_path, "cfg.json", json.dumps(sections).replace('"@"', token))
+
+
+_INTEGER_KEYS = [("fig2_effective.ini", "lattice", "n_half"), ("units.ini", "units", "M")]
+
+
+@pytest.mark.parametrize("name, section, key", _INTEGER_KEYS)
+@pytest.mark.parametrize("token", ["Infinity", "-Infinity", "NaN", "1e400", "true"])
+def test_json_integer_keys_reject_non_integers(tmp_path, capsys, name, section, key, token):
+    cfg = _json_with(tmp_path, CONFIGS / name, section, key, token)
+    assert main(["validate", str(cfg)]) == 2
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path), "--quiet"]) == 2
+    assert "expected an integer" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*_meta.json"))
+
+
+@pytest.mark.parametrize("name, section, key", _INTEGER_KEYS)
+def test_json_integer_keys_accept_integral_floats(tmp_path, name, section, key):
+    cfg = _json_with(tmp_path, CONFIGS / name, section, key, "30.0")
+    assert main(["validate", str(cfg)]) == 0
+    value = load_config(cfg).resolved_config()[section][key]
+    assert value == 30 and type(value) is int
 
 
 EFFECTIVE_INI = """\

@@ -75,7 +75,7 @@ def test_hop_matches_neighbor_matrix(shape):
     up_x = -0.7 + 0.2j
     up_y = -0.4 * np.exp(1j * rng.uniform(0.0, TWO_PI, shape[0])) * (1.0 - 0.5j)
     H = _neighbor_matrix(w, up_x, up_y)
-    hop = _Hop(w, up_x, up_y)
+    hop = _Hop(dynamics._neighbor_diagonals(w, up_x, up_y), H.shape[0])
     v1, v2 = (rng.normal(size=H.shape[0]) + 1j * rng.normal(size=H.shape[0])
               for _ in range(2))
     first = hop(v1).copy()
@@ -83,6 +83,51 @@ def test_hop_matches_neighbor_matrix(shape):
     # two calls in a row reuse hop's buffers; each answer is still its own
     np.testing.assert_allclose(hop(v2), H @ v2, rtol=0, atol=1e-15)
     np.testing.assert_array_equal(hop(v1), first)
+
+
+def _dense_from_diagonals(diagonals, size):
+    # row i of diagonal k holds the coefficient on column i + k
+    A = np.zeros((size, size), dtype=complex)
+    for k, d in diagonals.items():
+        rows = np.arange(max(-k, 0), size - max(k, 0))
+        A[rows, rows + k] = d
+    return A
+
+
+@pytest.mark.parametrize("offsets, per_link", [
+    ((0,), (False,)),  # offset 0 alone, scalar
+    ((0,), (True,)),  # offset 0 alone, per link
+    ((-2, 1, 3), (True, False, True)),  # lowest above -Nm = -4 of a 3 x 4 window
+    ((2, 5), (False, True)),  # lowest offset positive: the last rows are left
+    ((-4, -1, 0, 1, 4), (False, True, True, False, True)),  # mixed forms
+])
+def test_hop_applies_maps_the_neighbor_builder_never_makes(offsets, per_link):
+    size, rng = 12, np.random.default_rng(5)
+    diagonals = {}
+    for k, link in zip(offsets, per_link):
+        d = rng.normal(size=size - abs(k)) + 1j * rng.normal(size=size - abs(k))
+        diagonals[k] = d if link else complex(d[0])
+    A = _dense_from_diagonals(diagonals, size)
+    hop = _Hop(diagonals, size)
+    hop.out[:] = np.nan  # every row is written or zeroed on each call
+    for _ in range(2):  # and nothing is carried from one call to the next
+        v = rng.normal(size=size) + 1j * rng.normal(size=size)
+        np.testing.assert_allclose(hop(v), A @ v, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (31, 31)])
+def test_hop_matches_the_csr_export_to_rounding(shape):
+    # both add a row's terms in ascending offset order; they may still differ
+    # in the last bit of each product, as numpy may fuse a complex multiply
+    w = LatticeWindow(0, shape[0] - 1, 0, shape[1] - 1)
+    rng = np.random.default_rng(17)
+    up_y = -0.4 * np.exp(1j * rng.uniform(0.0, TWO_PI, shape[0]))
+    H = _neighbor_matrix(w, -0.7 + 0.2j, up_y)
+    hop = _Hop(dynamics._neighbor_diagonals(w, -0.7 + 0.2j, up_y), H.shape[0])
+    for _ in range(3):
+        v = rng.normal(size=H.shape[0]) + 1j * rng.normal(size=H.shape[0])
+        bound = 4 * np.finfo(float).eps * (abs(H) @ abs(v))
+        assert np.all(np.abs(hop(v) - H @ v) <= bound)
 
 
 # -- single-site and two-site analytic checks -----------------------------------
@@ -672,6 +717,26 @@ def test_sample_grid_validation():
                    norms=[1.0], edge_mass_max=0.0, truncation_warning=False)
     with pytest.raises(ValueError, match="read-only"):
         traj.norms[0] = 0.0
+
+
+def test_trajectory_rejects_bad_times_and_fields():
+    w = LatticeWindow(0, 1, 0, 0)
+
+    def trajectory(times, final=np.ones(w.shape)):
+        return Trajectory(times=times, window=w, amplitudes=None,
+                          norms=np.ones(np.size(times)), edge_mass_max=0.0,
+                          truncation_warning=False, final=final)
+
+    assert trajectory([0.0, 1.0]).final.shape == w.shape
+    with pytest.raises(ValueError, match="1-d"):
+        trajectory([[0.0, 1.0]])
+    for times in ([0.0, 0.0], [1.0, 0.5]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            trajectory(times)
+    with pytest.raises(ValueError, match="amplitudes or its final field"):
+        trajectory([0.0], final=None)
+    with pytest.raises(ValueError, match="final shape"):
+        trajectory([0.0], final=np.ones((1, 2)))
 
 
 def test_integrator_options_reject_non_finite_and_negative():

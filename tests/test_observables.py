@@ -173,6 +173,13 @@ def test_revival_period_input_validation():
         revival_period(short)
 
 
+def test_revival_none_for_constant_visibility():
+    n = np.arange(-2, 3)
+    rec = with_visibility(FringeRecord(np.arange(5.0), np.ones((5, 5)), n, None))
+    assert np.all(rec.visibility == rec.visibility[0])
+    assert revival_period(rec) is None
+
+
 def _raise_next_to_end(levels, left):
     x = np.array(levels, dtype=float)
     x[1 if left else -2] = x.max() + 1.0
@@ -305,3 +312,15 @@ def test_model_deviation_input_validation():
     off = _trajectory_from_amps(w, [0.5 * d.period], [np.ones(w.shape)])
     with pytest.raises(ValueError, match="integer multiples"):
         model_deviation(off, off, d)
+
+
+def test_model_deviation_needs_kept_amplitudes():
+    d = _static_drive()
+    w = LatticeWindow.centered(2)
+    h = EffectiveHoppings(0.8, 0.5, alpha=0.0, M=0, sigma=0.3, rho=0.7)
+    psi0, ts = gaussian_input(w, 1.5), [d.period]
+    kept = evolve_effective(psi0, h, ts)
+    final = evolve_effective(psi0, h, ts, keep="final")
+    for a, b in ((kept, final), (final, kept)):
+        with pytest.raises(ValueError, match="kept no amplitudes"):
+            model_deviation(a, b, d)

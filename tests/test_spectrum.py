@@ -245,3 +245,10 @@ def test_butterfly_rows_equal_harper_bands_bitwise(ratio):
 
 def test_butterfly_of_no_fluxes_is_empty():
     assert butterfly(1.0, []).shape == (0,)
+
+
+def test_butterfly_rejects_a_coarse_k_grid():
+    fluxes = farey_fluxes(3)
+    assert len(butterfly(1.0, fluxes, k_grid=32)) == sum(f.q for f in fluxes)
+    with pytest.raises(ValueError, match="k_grid"):
+        butterfly(1.0, fluxes, k_grid=31)
