@@ -6,16 +6,23 @@ named tables {role: (header, table[, fmt])} and its stdout summary lines;
 ``r`` of a run labelled ``L`` goes to ``L_r.csv``: comma-separated, CRLF
 line ends, one header line (the final-field matrices ``L_field_final_re``
 and ``_im`` have none), floats as ``%.12g``, and integer and flag columns
-(band index, ``touching_next``, units ``M``) as ``%d``.  Every run also
-writes ``L_meta.json``.  It embeds the fully resolved config under
-"config", so the JSON file itself is a valid input to ``run`` and
-reproduces the outputs exactly; complex numbers appear in it as [re, im].
-``RunResult.metadata`` is that file, parsed.
+(band index, ``touching_next``, units ``M``) as ``%d``: np.savetxt's bytes.
+Tables are formatted and written in blocks of ``_CSV_BLOCK`` rows, by one
+of two paths that give the same bytes.  A float table whose blocks hold at
+least ``_ARRAY_MIN_CELLS`` cells is formatted as arrays of digits; the few
+cells whose rounding that arithmetic cannot settle (0, inf, nan, extreme
+magnitudes and near-ties) are formatted by ``'%.12g' % v``.  Every other
+table, including any with a per-column format, is formatted one % per row.
+Every run also writes ``L_meta.json``.  It embeds the fully resolved
+config under "config", so the JSON file itself is a valid input to ``run``
+and reproduces the outputs exactly; complex numbers appear in it as
+[re, im].  ``RunResult.metadata`` is that file, parsed.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import json
 import warnings
@@ -61,18 +68,140 @@ class RunResult:
 # -- output ------------------------------------------------------------------
 
 _CSV_BLOCK = 64  # rows formatted per write
+# A float table in '%.12g' takes the array path when a block holds at least
+# this many cells (min(rows, _CSV_BLOCK) * columns).  Below it, the array
+# path's fixed cost per block outweighs its saving per cell.  The measurement
+# is in CHANGES.md.
+_ARRAY_MIN_CELLS = 512
+_E0 = 300  # row of decimal exponent 0 in the per-exponent tables (E = -300 ... 300)
+_J = np.arange(4)[:, None]  # the four 3-digit groups of a 12-digit mantissa
+_GROUP_SCALE = 1e3 ** (3 - _J)
+# The word tables are native words read from bytes, so the bytes of an array
+# of words are the text.  A separator follows the exponent's 5 bytes.
+_COMMA, _CRLF = np.frombuffer(b"\0\0\0\0\0,\0\0" b"\0\0\0\0\0\r\n\0", np.uint64)
+
+
+@functools.cache
+def _cell_tables():
+    """Powers of ten and the word tables that lay out a '%.12g' cell.
+
+    A cell is 32 bytes, NUL where unused: an 8-byte lead (the sign, and "0."
+    plus zeros for a fixed-point value below 1), four 4-byte groups of 3
+    mantissa digits with the point where it falls, and an 8-byte word of
+    "e±XX[X]" and the separator.  %g writes a value whose rounded exponent E
+    has -4 <= E < 12 in fixed point, strips the zeros that trail the point,
+    and drops the point when nothing follows it.  Built on first use, so
+    runs that write only small tables never pay for them.
+    """
+    pow10 = np.array([float(f"1e{k}") for k in range(-_E0, _E0 + 6)])  # correctly rounded
+    E = np.arange(-_E0, _E0 + 1)
+    fixed = (E >= -4) & (E < 12)
+    below_one = [b"0." + b"0" * (-e - 1) if -4 <= e < 0 else b"" for e in E.tolist()]
+    # lead[2 * row + negative]; exponent[row]
+    lead = np.frombuffer(b"".join(text.ljust(8, b"\0") for zeros in below_one
+                                  for text in (zeros, b"-" + zeros)), np.uint64)
+    exponent = np.frombuffer(b"".join((b"" if f else b"e%+03d" % e).ljust(8, b"\0")
+                                      for e, f in zip(E.tolist(), fixed.tolist())), np.uint64)
+    # group[(keep * 4 + point) * 1000 + g]: the digits of g through its last
+    # nonzero one and at least its first `keep`, with "." before digit
+    # point - 1 (point >= 1) when that digit is kept
+    g = np.arange(1000)
+    digits = np.stack([g // 100, g // 10 % 10, g % 10]) + ord("0")
+    keep = np.arange(4)[:, None, None]
+    point = np.arange(4)[None, :, None]
+    kept = np.maximum(keep, np.count_nonzero([g, g % 100, g % 10], axis=0))
+    at = np.where((point > 0) & (kept >= point), point - 1, 4)  # slot of the "."; 4: none
+    group = np.zeros((4, 4, 1000, 4), np.uint8)
+    for slot in range(4):
+        src = slot - (slot > at)
+        digit = np.where(slot > at, digits[slot - 1], digits[min(slot, 2)])
+        group[..., slot] = np.where(slot == at, ord("."), np.where(src < kept, digit, 0))
+    # group_at[(row * 4 + last) * 4 + j]: where group j's word starts in
+    # `group`, given the mantissa's last nonzero group.  The point follows
+    # digit E in fixed point at E >= 0 and digit 0 in exponent form; below 1
+    # it is in the lead.
+    pos = np.where(fixed, E, 0)[:, None, None]
+    in_digits = ~(fixed & (E < 0))[:, None, None]
+    j = np.arange(4)
+    keep = np.where(j < np.arange(4)[:, None], 3,
+                    np.where(in_digits, np.clip(pos + 1 - 3 * j, 0, 3), 0))
+    p = pos + 2 - 3 * j
+    point = np.where(in_digits & (p >= 1) & (p <= 3), p, 0)
+    group_at = ((keep * 4 + point) * 1000).ravel()
+    return pow10, lead, exponent, group.view(np.uint32).ravel(), group_at
+
+
+def _float_cells(block) -> bytes:
+    """The '%.12g' CSV lines of a 2-D float64 block, formatted as arrays.
+
+    A cell's exponent E is floor(log10|v|) and its 12-digit mantissa D is
+    rint(|v| * 10**(11 - E)): the scaled value is within 3e-4 of exact, so
+    D is the correctly rounded mantissa unless the scaled value lies within
+    1e-3 of a tie.  A D that rounds up to 1e12 carries to 1e11 at E + 1.
+    The cells this cannot decide are formatted by '%.12g' itself: 0, inf,
+    nan and |v| outside [1e-290, 1e290], a scaled value outside [1e11, 1e12)
+    (log10 off by one), and one near a tie.  So every byte equals the row
+    path's.  The grid of words is packed by dropping its NUL bytes.
+    """
+    pow10, lead, exponent, group, group_at = _cell_tables()
+    rows, cols = block.shape
+    v = block.ravel()
+    a = np.abs(v)
+    ok = (a >= 1e-290) & (a <= 1e290)
+    a = np.where(ok, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.intp)
+    scaled = a * pow10[_E0 + 11 - e]
+    d = np.rint(scaled)
+    fallback = ~ok | (scaled < 1e11) | (scaled >= 1e12) | (np.abs(scaled - d) > 0.499)
+    carry = d >= 1e12
+    d[carry | fallback] = 1e11
+    e += carry + _E0
+    g = (d / _GROUP_SCALE).astype(np.intp)  # d // 1e9, d // 1e6, d // 1e3, d
+    g[1:] -= 1000 * g[:-1]
+    last = np.max((g != 0) * _J, axis=0)
+    words = np.empty((v.size, 8), np.uint32)
+    w64 = words.view(np.uint64)
+    w64[:, 0] = lead[2 * e + (v < 0)]
+    words[:, 2:6] = group[group_at[(e * 4 + last) * 4 + _J] + g].T
+    sep = np.full(cols, _COMMA)
+    sep[-1] = _CRLF
+    np.bitwise_or(exponent[e].reshape(rows, cols), sep, out=w64.reshape(rows, cols, 4)[..., 3])
+    redo = np.flatnonzero(fallback)
+    if redo.size:  # a byte 1 marks each such cell's place among the packed bytes
+        w64[redo, :3] = 0
+        w64[redo, 0] = 1
+        w64[redo, 3] = sep[redo % cols]
+    packed = words.tobytes().translate(None, b"\0")
+    if not redo.size:
+        return packed
+    parts = packed.split(b"\1")
+    cells = [b""] * (2 * len(parts) - 1)
+    cells[::2] = parts
+    cells[1::2] = [b"%.12g" % x for x in v[redo].tolist()]
+    return b"".join(cells)
 
 
 def _write_csv(path: Path, header, table, fmt="%.12g") -> None:
-    """np.savetxt's bytes for these arguments: one % per row, written by blocks."""
+    """np.savetxt's bytes for these arguments, formatted and written by blocks.
+
+    A float64 table in the default '%.12g' whose blocks hold at least
+    _ARRAY_MIN_CELLS cells is formatted as arrays (``_float_cells``); every
+    other table one % per row.  A table without rows writes its header alone.
+    """
     table = np.asarray(table)
-    line = ",".join([fmt] * table.shape[1] if isinstance(fmt, str) else fmt) + "\r\n"
-    with path.open("w", newline="", encoding="utf-8") as fh:
+    if (fmt == "%.12g" and table.dtype == np.float64
+            and min(len(table), _CSV_BLOCK) * table.shape[-1] >= _ARRAY_MIN_CELLS):
+        block_bytes = _float_cells
+    else:
+        line = ",".join([fmt] * table.shape[-1] if isinstance(fmt, str) else fmt) + "\r\n"
+
+        def block_bytes(block):
+            return "".join([line % tuple(row) for row in block.tolist()]).encode()
+    with path.open("wb") as fh:
         if header:
-            fh.write(",".join(header) + "\r\n")
+            fh.write((",".join(header) + "\r\n").encode())
         for i in range(0, len(table), _CSV_BLOCK):
-            fh.write("".join([line % tuple(row)
-                              for row in table[i:i + _CSV_BLOCK].tolist()]))
+            fh.write(block_bytes(table[i:i + _CSV_BLOCK]))
 
 
 def _plain(obj):

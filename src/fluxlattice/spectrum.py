@@ -170,4 +170,4 @@ def butterfly(ratio: float, flux_list, k_grid: int = 64) -> np.ndarray:
         band = np.cumsum(qs)[at, None] - q + np.arange(q)  # rows of the fluxes at
         rows[band, 0] = alphas[at, None]
         rows[band, 1], rows[band, 2] = evals.min(axis=1), evals.max(axis=1)
-    return rows if fluxes else np.empty(0)
+    return rows

@@ -16,7 +16,7 @@ from fluxlattice.dynamics import IntegratorOptions
 from fluxlattice.effective import evolve_effective, expectation_kinematics
 from fluxlattice.hopping import hoppings_from_drive
 from fluxlattice.physical import physical_units
-from fluxlattice.spectrum import RationalFlux, farey_fluxes
+from fluxlattice.spectrum import RationalFlux, butterfly, farey_fluxes
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SHIPPED = sorted(p.name for p in CONFIGS.glob("*.ini") if p.name != "sweep_gamma.ini")
@@ -265,6 +265,16 @@ _AWKWARD = [0.0, -0.0, 1.0, -2.5, 1e-300, 123456789012345.0, 1.0 / 3.0,
             math.pi, -7e-17, float("nan"), float("inf")]
 
 
+def _blocked_table():
+    """A float table on the array path, _AWKWARD on both sides of each block boundary."""
+    block = fluxlattice.runner._CSV_BLOCK
+    cols = -(-fluxlattice.runner._ARRAY_MIN_CELLS // block)
+    table = np.random.default_rng(7).standard_normal((3 * block + 5, cols)) * 1e3
+    edges = [r for b in range(block, len(table), block) for r in (b - 1, b)]
+    table[edges] = np.resize(_AWKWARD, (len(edges), cols))
+    return [f"c{i}" for i in range(cols)], table
+
+
 @pytest.mark.parametrize("table", [
     # profile: a float array with a header
     (["t", "n=-1", "n=0", "n=1"], np.resize(_AWKWARD, (600, 4))),
@@ -280,10 +290,69 @@ _AWKWARD = [0.0, -0.0, 1.0, -2.5, 1e-300, 123456789012345.0, 1.0 / 3.0,
      ["%d", "%.12g", "%.12g", "%d"]),
     # units: one row of mixed %d and %.12g
     (["a", "M", "b"], [[1.0 / 3.0, 2, 1e-300]], ["%.12g", "%d", "%.12g"]),
-], ids=["profile", "field-matrix", "hoppings", "bands", "units"])
+    # a large float table, formatted as arrays
+    _blocked_table(),
+], ids=["profile", "field-matrix", "hoppings", "bands", "units", "array-blocks"])
 def test_csv_writer_matches_savetxt(tmp_path, table):
     fluxlattice.runner._write_csv(tmp_path / "w.csv", *table)
     assert (tmp_path / "w.csv").read_bytes() == _savetxt_bytes(tmp_path / "s.csv", *table)
+
+
+@pytest.mark.parametrize("table", [np.empty(0), butterfly(1.0, [])],
+                         ids=["1-d", "no-fluxes"])
+def test_csv_writer_writes_the_header_of_a_table_without_rows(tmp_path, table):
+    header = ["alpha", "E_min", "E_max"]
+    fluxlattice.runner._write_csv(tmp_path / "w.csv", header, table)
+    written = (tmp_path / "w.csv").read_bytes()
+    assert written == b"alpha,E_min,E_max\r\n"
+    assert written == _savetxt_bytes(tmp_path / "s.csv", header, table)
+
+
+def _percent_g_lines(block):
+    line = ",".join(["%.12g"] * block.shape[1]) + "\r\n"
+    return "".join([line % tuple(row) for row in block.tolist()]).encode()
+
+
+def _hard_floats(rng):
+    """About 10**6 floats that test the exactness of the array path."""
+    k = rng.integers(10**11, 10**12, 100_000)
+    e = rng.integers(-300, 301, k.size).astype(float)
+    offset = rng.uniform(-1e-4, 1e-4, k.size)
+    # exact ties (k + 0.5) * 10**(e - 11): representable at e = 11 ... 16, and
+    # below as m * 2**(e - 12) with m * 5**(11 - e) odd and of 12 digits
+    ties = [(2 * kk + 1) * 10 ** (ee - 11) / 2
+            for kk in k[:2000].tolist() for ee in range(11, 17)]
+    for ee in range(-6, 11):
+        step = 5 ** (11 - ee)
+        ms = rng.integers(2 * 10**11 // step + 1, 2 * 10**12 // step, 300) | 1
+        ties += [float(m) * 2.0 ** (ee - 12) for m in ms.tolist()]
+    powers = np.array([float(f"1e{p}") for p in range(-300, 301)])
+    return np.concatenate([
+        rng.integers(0, 2**64, 450_000, dtype=np.uint64).view(np.float64),  # every exponent
+        (k + 0.5 + offset) * 10 ** (e - 11),  # within 1e-4 of a 12-digit tie
+        -(k + 0.5) * 10 ** (e - 11),
+        ties,
+        np.nextafter(powers, 0.0), powers, np.nextafter(powers, np.inf),
+        [9.99999999999951e-05, 999999999999.6, 9.9999999999996e99],  # decade carries
+        [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, np.finfo(float).max,
+         np.finfo(float).tiny, 1e-290, 1e290],
+        np.arange(-100_000, 100_000, dtype=float),
+        rng.integers(-2**40, 2**40, 150_000) / 2.0 ** rng.integers(0, 60, 150_000),
+        rng.standard_normal(50_000) * 10.0 ** rng.integers(-7, 15, 50_000),  # both %g forms
+    ])
+
+
+def test_array_cells_match_percent_format():
+    values = _hard_floats(np.random.default_rng(2024))
+    assert values.size >= 10**6
+    cols = 256
+    table = np.resize(values, (-(-values.size // cols), cols))
+    for i in range(0, len(table), 256):
+        block = table[i:i + 256]
+        assert fluxlattice.runner._float_cells(block) == _percent_g_lines(block)
+    # one column and one row
+    for block in (values[:4096, None], values[None, -50_000:]):
+        assert fluxlattice.runner._float_cells(block) == _percent_g_lines(block)
 
 
 def test_kinematics_table_is_expectation_kinematics_per_sample():

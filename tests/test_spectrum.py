@@ -244,7 +244,7 @@ def test_butterfly_rows_equal_harper_bands_bitwise(ratio):
 
 
 def test_butterfly_of_no_fluxes_is_empty():
-    assert butterfly(1.0, []).shape == (0,)
+    assert butterfly(1.0, []).shape == (0, 3)
 
 
 def test_butterfly_rejects_a_coarse_k_grid():
