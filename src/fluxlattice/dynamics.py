@@ -25,11 +25,11 @@ not corrected, and every trajectory records the norms of the samples it
 returns so the budget can be audited after the fact.
 
 Each propagator makes its samples one at a time (evolve_effective one
-Chebyshev block of at most effective._BLOCK_BYTES at a time) and hands
-each to one reducer, _Run, which reads it once.  Runner runs keep no
-stack, so they hold one sample or one block; API callers that keep the
-amplitudes (the default) store them all, and config's trajectory cap
-counts the bytes a run produces either way.
+Chebyshev block at a time, block and its vector buffer each within
+effective._BLOCK_BYTES) and hands each to one reducer, _Run, which reads
+it once.  Runner runs keep no stack, so they hold one sample or one block
+and buffer; API callers that keep the amplitudes (the default) store them
+all, and config's trajectory cap counts the bytes a run produces either way.
 
 The hopping is the one operator a run applies: _neighbor_diagonals gives
 it as a sorted {offset: coefficient} map, which _neighbor_matrix exports

@@ -49,8 +49,7 @@ __all__ = [
 ]
 
 _BLOCK_SPAN = 4.0  # largest R (t - t_b) one Chebyshev basis serves
-_CHEBYSHEV_CHUNK = 32  # U_k vectors held at once
-_BLOCK_BYTES = 32 * 2**20  # largest block of samples, at 16 B a site
+_BLOCK_BYTES = 32 * 2**20  # largest block of samples, or of U_k vectors, at 16 B a site
 
 
 def _effective_links(window: LatticeWindow, hoppings: EffectiveHoppings):
@@ -70,11 +69,12 @@ def _chebyshev_block(hop2: _Hop, psi: np.ndarray, x: np.ndarray, out: np.ndarray
     hop2 applies -2i Hs, so U_k = (-i)^k T_k(Hs) psi = hop2(U_(k-1)) + U_(k-2)
     has real coefficients.  The series stops before _tail_order(max x), past
     which the coefficients of every row sum to below 4e-17.  The U_k pass
-    through a _CHEBYSHEV_CHUNK-row buffer, flushed as one real product.
+    through a buffer of at most _BLOCK_BYTES (at least two rows), flushed as
+    one real product (after the first flush, through a temporary like out).
     """
     terms = _tail_order(float(np.max(x)))
     c = np.where(np.arange(terms), 2.0, 1.0) * bessel_table(terms - 1, x)
-    buf = np.empty((min(_CHEBYSHEV_CHUNK, terms), psi.size), dtype=complex)
+    buf = np.empty((min(terms, max(2, _BLOCK_BYTES // (16 * psi.size))), psi.size), complex)
     buf_f, out_f = buf.view(float), out.view(float)
     for k in range(terms):
         j = k % len(buf)
@@ -97,10 +97,10 @@ def evolve_effective(initial: WaveField, hoppings: EffectiveHoppings, t_samples,
     exp(-i H dt) is a Chebyshev series in H/R, R = 2(|kappa_x| + |kappa_y|)
     >= ||H|| (Tal-Ezer and Kosloff 1984).  From the state at a block start
     t_b, one set of U_k = (-i)^k T_k(H/R) psi(t_b) serves every following
-    sample with R (t - t_b) <= _BLOCK_SPAN (at least one, and at most
-    _BLOCK_BYTES of samples), each a row of one product with the real
-    coefficients (2 - delta_k0) J_k(R (t - t_b)); the block's last sample
-    starts the next.  A sample at or before t_start is the input.
+    sample with R (t - t_b) <= _BLOCK_SPAN (at least one; the samples, and
+    the U_k, at most _BLOCK_BYTES each) is a row of one product with the
+    real coefficients (2 - delta_k0) J_k(R (t - t_b)); the block's last
+    sample starts the next.  A sample at or before t_start is the input.
     opts.dt_max has no effect; the drift and edge-mass checks still apply.
     keep is evolve_full's.
     """
@@ -111,7 +111,7 @@ def _effective_run(initial: WaveField, hoppings: EffectiveHoppings, t_samples,
                    opts: IntegratorOptions | None, t_start: float, keep: str) -> _Run:
     """evolve_effective's samples as a _Run, made one Chebyshev block at a time.
 
-    The blocks share one buffer, so the run holds a single block.
+    The run holds one block of samples and one U_k buffer, each within _BLOCK_BYTES.
     """
     opts = opts or IntegratorOptions()
     window = initial.window
@@ -134,7 +134,7 @@ def _effective_run(initial: WaveField, hoppings: EffectiveHoppings, t_samples,
             start, t_b, psi = stop, max(t_b, t[stop - 1]), block[x.size - 1].copy()
             yield from block[:x.size]
 
-    return _Run(window, t, samples(initial.amplitudes.ravel().astype(complex)), keep,
+    return _Run(window, t, samples(initial.amplitudes.ravel()), keep,
                 opts, max(kx, ky) or 1.0, t_start)
 
 

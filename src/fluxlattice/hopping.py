@@ -85,19 +85,21 @@ def _bessel_miller(top: int, x: np.ndarray) -> np.ndarray:
     N += N % 2
     f = np.zeros((N + 2, x.size))
     f[N] = _MILLER_START
-    rows, ratio = list(f), list((2.0 * np.arange(N + 1))[:, None] / x)
+    ratio = (2.0 * np.arange(N + 1))[:, None] / x
     x_min = float(x.min())
     log_bound = math.log(_MILLER_START)
     check = (log_bound + N * math.log(2.0 / x_min) + math.lgamma(N + 1.0 + 0.5 * x_min)
              - math.lgamma(1.0 + 0.5 * x_min)) > _LOG_MAX
+    cur, nxt = f[N], f[N + 1]
     for j in range(N, 0, -1):
         if check:
             log_bound += math.log1p(2.0 * j / x_min)
             if log_bound > _LOG_MAX:
-                f[j:] /= np.maximum(np.abs(rows[j]), np.abs(rows[j + 1]))
+                f[j:] /= np.maximum(np.abs(cur), np.abs(nxt))
                 log_bound = math.log1p(2.0 * j / x_min)
-        np.multiply(ratio[j], rows[j], out=rows[j - 1])
-        np.subtract(rows[j - 1], rows[j + 1], out=rows[j - 1])
+        prev = f[j - 1]
+        np.subtract(np.multiply(ratio[j], cur, out=prev), nxt, out=prev)
+        cur, nxt = prev, cur
     return (f[:top + 1] / (f[0] + 2.0 * f[2:N + 1:2].sum(axis=0))).T
 
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import math
 import json
 import warnings
 from dataclasses import dataclass
@@ -273,11 +272,11 @@ def _run_hoppings(s: Scenario):
 
 def _run_spectrum(s: Scenario):
     h = s.hoppings[0]
-    if s.flux_spec.startswith("farey:"):
-        data = butterfly(abs(h.kappa_y) / abs(h.kappa_x), s.fluxes, s.k_grid)
+    if len(s.fluxes) > 1:  # farey:N, which lists at least 0/1 and 1/1
+        ratio = abs(h.kappa_y) / abs(h.kappa_x)
+        data = butterfly(ratio, s.fluxes, s.k_grid)
         derived = {"flux_count": len(s.fluxes), "band_rows": data.shape[0],
-                   "ratio": abs(h.kappa_y) / abs(h.kappa_x),
-                   "k_grid": s.k_grid}
+                   "ratio": ratio, "k_grid": s.k_grid}
         return (derived, {"butterfly": (["alpha", "E_min", "E_max"], data)},
                 [f"butterfly: {len(s.fluxes)} fluxes, {data.shape[0]} band rows"])
     flux, = s.fluxes
@@ -368,15 +367,13 @@ def _run_semiclassical(s: Scenario):
     times, _, f0 = _start(s)
     initial = expectation_kinematics(f0, h).state
     states = semiclassical_evolve(initial, h, h.flux_angle, times)
-    rows = [[t, st.n_mean, st.m_mean, st.Pn_mean, st.Pm_mean]
-            for t, st in zip(times, states)]
-    ax = math.atan2(h.kappa_x.imag, h.kappa_x.real)
-    ay = math.atan2(h.kappa_y.imag, h.kappa_y.real)
-    energy = np.array([-2.0 * abs(h.kappa_x) * math.cos(st.Pn_mean + ax)
-                       - 2.0 * abs(h.kappa_y) * math.cos(st.Pm_mean + ay)
-                       for st in states])
-    inv1 = np.array([st.Pn_mean + h.flux_angle * st.m_mean for st in states])
-    inv2 = np.array([st.Pm_mean - h.flux_angle * st.n_mean for st in states])
+    table = np.array([[t, st.n_mean, st.m_mean, st.Pn_mean, st.Pm_mean]
+                      for t, st in zip(times, states)])
+    _, n, m, pn, pm = table.T
+    energy = (-2.0 * abs(h.kappa_x) * np.cos(pn + np.angle(h.kappa_x))
+              - 2.0 * abs(h.kappa_y) * np.cos(pm + np.angle(h.kappa_y)))
+    inv1 = pn + h.flux_angle * m
+    inv2 = pm - h.flux_angle * n
     derived = {
         "kappa_x": h.kappa_x, "kappa_y": h.kappa_y, "alpha": h.alpha,
         "initial": dataclasses.asdict(initial),
@@ -386,7 +383,7 @@ def _run_semiclassical(s: Scenario):
                             np.max(np.abs(inv2 - inv2[0]))],
         "samples": times.size,
     }
-    return (derived, {"semiclassical": (["t", "n_mean", "m_mean", "Pn", "Pm"], rows)},
+    return (derived, {"semiclassical": (["t", "n_mean", "m_mean", "Pn", "Pm"], table)},
             [f"energy drift = {derived['energy_drift']:.3e}"])
 
 

@@ -1,6 +1,7 @@
 """Effective magnetic model, gauge maps, kinematics, semiclassics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -219,6 +220,36 @@ def test_capped_blocks_give_the_same_samples(rng, monkeypatch):
         monkeypatch.setattr(effective_module, "_BLOCK_BYTES", budget)
         traj = evolve_effective(field, h, ts)
         assert np.max(np.abs(traj.amplitudes - ref.amplitudes)) <= 1e-13
+
+
+def test_the_chebyshev_vectors_share_the_byte_budget(rng, monkeypatch):
+    # a budget of four vectors on 41 x 41 sites, four samples a block and
+    # x <= 3.8, so each series has 24 terms and outruns the buffer
+    h = _fig_hoppings()
+    R = 2.0 * (abs(h.kappa_x) + abs(h.kappa_y))
+    w = LatticeWindow.centered(20)
+    vector = 16 * w.shape[0] * w.shape[1]
+    ts = 0.95 / R * np.arange(13)
+    assert _tail_order(3.8) >= 20
+    field = _random_field(rng, w)
+    ref = evolve_effective(field, h, ts)
+
+    def extra_peak(t):
+        tracemalloc.start()
+        try:
+            evolve_effective(field, h, t, keep="final")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    monkeypatch.setattr(effective_module, "_BLOCK_BYTES", 4 * vector)
+    # over a run whose one block and series hold one vector each, the run
+    # adds at most the budget, the block, and the product a flush past the
+    # first adds to the block
+    extra = extra_peak(ts) - extra_peak(ts[:1])
+    assert extra <= 4 * vector + 2 * 4 * vector
+    traj = evolve_effective(field, h, ts)
+    assert np.max(np.abs(traj.amplitudes - ref.amplitudes)) <= 1e-13
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (7, 1), (2, 2), (9, 13), (25, 25)])

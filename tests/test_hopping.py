@@ -9,6 +9,7 @@ as literals.
 
 import cmath
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -247,3 +248,19 @@ def test_bessel_table_and_jv_match_scipy():
     assert jv(3, -2.0) == -jv(3, 2.0) == jv(-3, 2.0) == -jv(-3, -2.0)
     with pytest.raises(ValueError, match="x >= 0"):
         bessel_table(3, [-1.0])
+
+
+def test_a_long_bessel_recurrence_holds_no_row_per_order():
+    # jv(0, 3e4) runs Miller's recurrence over about 4e4 orders: its two
+    # tables of 8 B an order peak near 1 MB, where one Python view per order
+    # and table took 10 MB
+    from scipy.special import jv as scipy_jv
+
+    tracemalloc.start()
+    try:
+        value = jv(0, 3e4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3e6
+    assert abs(value - scipy_jv(0, 3e4)) <= 1e-12 * abs(scipy_jv(0, 3e4))

@@ -308,6 +308,14 @@ def test_csv_writer_writes_the_header_of_a_table_without_rows(tmp_path, table):
     assert written == _savetxt_bytes(tmp_path / "s.csv", header, table)
 
 
+def test_meta_json_encodes_numpy_scalars_and_rejects_other_objects():
+    plain = fluxlattice.runner._plain
+    text = json.dumps([np.int64(3), np.bool_(True), np.float32(0.5)], default=plain)
+    assert text == "[3, true, 0.5]"
+    with pytest.raises(TypeError, match="^object is not JSON serializable$"):
+        json.dumps({"x": object()}, default=plain)
+
+
 def _percent_g_lines(block):
     line = ",".join(["%.12g"] * block.shape[1]) + "\r\n"
     return "".join([line % tuple(row) for row in block.tolist()]).encode()
