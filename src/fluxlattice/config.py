@@ -297,7 +297,7 @@ def _drive(params: dict, omega: float) -> DriveSpec:
 # sample; a compare run produces two trajectories).  Runner runs stream
 # their samples and hold at most one of them or one Chebyshev block; only
 # an API caller that keeps the amplitudes stores them all.  It also bounds
-# the Bloch stack a spectrum solves for one denominator.
+# the real Bloch stack (8 B an entry) a spectrum solves for one denominator.
 _TRAJECTORY_BYTES_MAX = 2 ** 32
 # largest input a run may prepare, in bytes: every run with a window, a
 # semiclassical one too, builds its input in both frames (2 x 16 B a site)
@@ -435,15 +435,17 @@ def _sample_counts(kind: str, fields: dict, drives) -> tuple[int, ...]:
 def _fluxes(spec: str, h: EffectiveHoppings) -> tuple[RationalFlux, ...]:
     """The fluxes a spectrum spec names: 'farey:N', 'auto' (from alpha) or 'p/q'.
 
-    The Bloch stack of one q (fluxes x 2 x q^2 x 16 B) must fit _TRAJECTORY_BYTES_MAX;
+    The real Bloch stack of one q (fluxes x 2 x q^2 x 8 B) must fit _TRAJECTORY_BYTES_MAX;
     farey:N is judged from N (phi(q) < q <= N) before any flux is listed.
     """
     if spec == "auto":
         return (RationalFlux.from_float(h.alpha),)
     farey = spec.startswith("farey:")
     p, q = (0, int(spec[len("farey:"):])) if farey else map(int, spec.split("/"))
-    if (q if farey else 1) * 32 * q * q > _TRAJECTORY_BYTES_MAX:
-        raise ValidationError(f"flux {spec} needs Bloch stacks above {_TRAJECTORY_BYTES_MAX} B")
+    size = (q if farey else 1) * 2 * q * q * 8
+    if size > _TRAJECTORY_BYTES_MAX:
+        raise ValidationError(f"flux {spec} needs Bloch stacks above {_TRAJECTORY_BYTES_MAX} B: "
+                              f"{size} B of real {q}x{q} matrices, two per flux")
     if farey and abs(h.kappa_x) == 0.0:
         raise ValidationError("butterfly energies are in units of kappa_x; "
                               "it must be nonzero")

@@ -67,13 +67,23 @@ def _chebyshev_block(hop2: _Hop, psi: np.ndarray, x: np.ndarray, out: np.ndarray
     """out[i] = exp(-i x_i Hs) psi = sum_k (2 - delta_k0) J_k(x_i) U_k.
 
     hop2 applies -2i Hs, so U_k = (-i)^k T_k(Hs) psi = hop2(U_(k-1)) + U_(k-2)
-    has real coefficients.  The series stops before _tail_order(max x), past
-    which the coefficients of every row sum to below 4e-17.  The U_k pass
-    through a buffer of at most _BLOCK_BYTES (at least two rows), flushed as
-    one real product (after the first flush, through a temporary like out).
+    has real coefficients.  They are computed up to the bound _tail_order(max x),
+    and the series stops at the first order past which the computed |c_k| of
+    every row sum to below 4e-17.  That order lies past max x, where each
+    J_k(x) still rises with x, so the row of max x has the largest tail.  The
+    U_k pass through a buffer of at most _BLOCK_BYTES (at least two rows),
+    flushed as one real product (after the first flush, through a temporary
+    like out).
     """
-    terms = _tail_order(float(np.max(x)))
-    c = np.where(np.arange(terms), 2.0, 1.0) * bessel_table(terms - 1, x)
+    i = int(np.argmax(x))
+    c = bessel_table(_tail_order(float(x[i])) - 1, x)
+    c[:, 1:] *= 2.0
+    tail, row = 0.0, c[i].tolist()
+    for terms in range(len(row), 0, -1):
+        tail += abs(row[terms - 1])
+        if tail >= 4e-17:
+            break
+    c = c[:, :terms]
     buf = np.empty((min(terms, max(2, _BLOCK_BYTES // (16 * psi.size))), psi.size), complex)
     buf_f, out_f = buf.view(float), out.view(float)
     for k in range(terms):

@@ -17,7 +17,7 @@ the sinusoidal and delta-kick drives.  Keeping both lets each validate the
 other; do not fold them together.  The Bessel functions of the sinusoidal
 closed form come from bessel_table, Miller's backward recurrence.  _tail_order
 holds the one tail bound |J_v(x)| <= (x/2)^v / v!: it starts that recurrence
-and sizes the effective model's Chebyshev series.
+and caps the effective model's Chebyshev series.
 """
 
 from __future__ import annotations
@@ -146,6 +146,8 @@ class EffectiveHoppings:
     def __post_init__(self):
         object.__setattr__(self, "kappa_x", complex(self.kappa_x))
         object.__setattr__(self, "kappa_y", complex(self.kappa_y))
+        if not (cmath.isfinite(self.kappa_x) and cmath.isfinite(self.kappa_y)):
+            raise ValueError("kappa_x and kappa_y must be finite")
         expected = self.M * self.sigma / TWO_PI
         if abs(self.alpha - expected) > 1e-12 * max(1.0, abs(expected)):
             raise ValueError(f"alpha {self.alpha} inconsistent with sigma*M/(2*pi) = {expected}")

@@ -17,7 +17,11 @@ whose two terms share a sign at the points kx' = ky' in {0, pi/q}.  Only
 there does it reach its extremes +-(|kappa_x|^q + |kappa_y|^q); the mixed
 points give +-(|kappa_x|^q - |kappa_y|^q), inside a band.  Every band edge is
 thus an eigenvalue at one of the two points: exact, with no k-grid, and set
-by |kappa_x| and |kappa_y| alone.  Many rationals give the Hofstadter butterfly.
+by |kappa_x| and |kappa_y| alone.  At both points the gauge
+u[n] -> e^{-i kx' n} u[n] moves the whole x-phase onto the wrap link
+q-1 -> 0 as e^{i q kx'} = +-1, so each Bloch matrix is a real symmetric
+chain, periodic at kx' = 0 and antiperiodic at kx' = pi/q.  Many rationals
+give the Hofstadter butterfly.
 """
 
 from __future__ import annotations
@@ -107,16 +111,21 @@ def _chambers_eigenvalues(kappa_x_abs: float, kappa_y_abs: float, q: int,
                           alphas: np.ndarray) -> np.ndarray:
     """Bloch eigenvalues, shape (F, 2, q) and ascending, of F fluxes alphas = p/q.
 
-    Solved in one stack at kx' = ky' in {0, pi/q}, where both Chambers terms
-    share a sign and so every band edge lies.  H = D + h S + h* S^T, with D
-    the real diagonal at ky', h = -|kappa_x| e^{i kx'} and S the q x q cyclic
-    shift (S[j, j+1 mod q] = 1); D and h S + (h S)^dagger are each hermitian.
+    Solved in one real float64 stack (F, 2, q, q) at kx' = ky' in {0, pi/q},
+    where both Chambers terms share a sign and so every band edge lies.  In
+    the gauge u[n] -> e^{-i kx' n} u[n] each link n -> n+1 is -|kappa_x|,
+    but the wrap link q-1 -> 0 carries the x-phase, -|kappa_x| e^{i q kx'}:
+    -|kappa_x| at kx' = 0 (periodic) and +|kappa_x| at kx' = pi/q
+    (antiperiodic).  The diagonal is -2|kappa_y| cos(ky' + 2 pi alpha n).
+    For q = 1 and q = 2 both couplings land on one entry.
     """
     k = np.array([0.0, math.pi / q])
     diag = -2.0 * kappa_y_abs * np.cos(k[:, None] + TWO_PI * alphas[:, None, None] * np.arange(q))
-    S = np.roll(np.eye(q), 1, axis=1)
-    hop = (-kappa_x_abs * np.exp(1j * k))[:, None, None]
-    H = diag[..., None] * np.eye(q) + hop * S + np.conj(hop) * S.T  # (F, 2, q, q)
+    ring = np.eye(q, k=1) + np.eye(q, k=-1)
+    wrap = np.eye(q, k=q - 1) + np.eye(q, k=1 - q)  # the link q-1 -> 0
+    H = np.empty((alphas.size, 2, q, q))
+    H[:] = -kappa_x_abs * np.stack([ring + wrap, ring - wrap])
+    H.reshape(alphas.size, 2, q * q)[..., ::q + 1] += diag
     return np.linalg.eigvalsh(H)
 
 
@@ -156,10 +165,12 @@ def butterfly(ratio: float, flux_list, k_grid: int = 64) -> np.ndarray:
     Energies are in units of kappa_x.  Returns rows (alpha, E_min, E_max),
     one per band, ordered by flux then energy — the Hofstadter-butterfly
     dataset for plotting.  ``k_grid`` (>= 32) is validated but does not
-    affect the edges, which are exact.
+    affect the edges, which are exact.  ratio must be finite.
     """
     if k_grid < 32:
         raise ValueError("k_grid must be >= 32")
+    if not math.isfinite(ratio):
+        raise ValueError("ratio must be finite")
     fluxes = list(flux_list)
     qs = np.array([f.q for f in fluxes], dtype=int)
     alphas = np.array([f.alpha for f in fluxes])

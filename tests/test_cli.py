@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import fluxlattice
+from fluxlattice import config as config_module
 from fluxlattice import run_scenario
 from fluxlattice.cli import main
 from fluxlattice.config import (
@@ -730,6 +731,19 @@ def test_oversized_spectrum_fails_validation(tmp_path, capsys, flux):
     assert main(["validate", str(_write(tmp_path, "sp.ini", ini))]) == 3
     assert time.perf_counter() - start < 1.0
     assert "Bloch stacks above" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flux, size", [("1/7", 2 * 7 * 7 * 8), ("farey:5", 5 * 2 * 5 * 5 * 8)])
+def test_bloch_stack_cap_counts_real_entries(tmp_path, capsys, monkeypatch, flux, size):
+    # a real stack holds fluxes x 2 x q^2 entries of 8 B; farey:N is charged
+    # N fluxes of q = N.  The exact fit validates and one byte less does not
+    ini = _write(tmp_path, "sp.ini", HOPPINGS_INI.replace("kind = hoppings", "kind = spectrum")
+                 + f"\n[spectrum]\nflux = {flux}\n")
+    monkeypatch.setattr(config_module, "_TRAJECTORY_BYTES_MAX", size)
+    assert main(["validate", str(ini)]) == 0
+    monkeypatch.setattr(config_module, "_TRAJECTORY_BYTES_MAX", size - 1)
+    assert main(["validate", str(ini)]) == 3
+    assert f"{size} B of real" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("gamma, code", [("1e7", 3), ("-1e7", 3), ("10001", 3),

@@ -144,6 +144,48 @@ def test_chebyshev_series_is_sized_by_the_bessel_bound(rng, monkeypatch):
         assert np.all(dropped < 1e-16)
 
 
+def test_a_long_span_stops_at_the_computed_tail(rng, monkeypatch):
+    # long_span's one block has x = R t = 600: the series stops at the first
+    # order K with 2 sum_{k >= K} |J_k(600)| < 4e-17, K = 696, where the
+    # (x/2)^k / k! bound would run to 850 terms
+    products, block = [], effective_module._chebyshev_block
+
+    def spy(hop2, psi, x, out):
+        def counted(v):
+            products.append(1)
+            return hop2(v)
+        block(counted, psi, x, out)
+
+    monkeypatch.setattr(effective_module, "_chebyshev_block", spy)
+    h = EffectiveHoppings(1.0, 1.0, alpha=0.2, M=1, sigma=0.4 * PI, rho=PI)  # R = 4
+    field = _random_field(rng, LatticeWindow.centered(40))
+    evolve_effective(field, h, [150.0])
+    tail = np.cumsum((2.0 * np.abs(jv(np.arange(1, 900), 600.0)))[::-1])[::-1]
+    terms = 1 + np.count_nonzero(tail >= 4e-17)
+    assert terms == 696 < _tail_order(600.0)
+    assert len(products) == terms - 1  # U_1 .. U_(terms-1)
+
+
+def test_the_series_stops_where_the_tail_of_every_row_does(rng):
+    # the stop is read off the row of max x alone; on blocks of one to five
+    # samples between x = 1e-4 and 700 it must be where the computed tail of
+    # every row first falls below 4e-17
+    for _ in range(200):
+        x = np.sort(np.exp(rng.uniform(math.log(1e-4), math.log(700.0), rng.integers(1, 6))))
+        c = bessel_table(_tail_order(float(x[-1])) - 1, x)
+        c[:, 1:] *= 2.0
+        terms = np.count_nonzero(np.cumsum(np.abs(c[:, ::-1]), axis=1).max(axis=0) >= 4e-17)
+        products = []
+
+        def hop2(v):
+            products.append(1)
+            return np.zeros_like(v)
+
+        effective_module._chebyshev_block(hop2, np.ones(1, complex), x,
+                                          np.empty((x.size, 1), complex))
+        assert len(products) == terms - 1
+
+
 def _complex_chebyshev_block(hop2, psi, x, out):
     # the block with complex coefficients (2 - delta_k0) (-i)^k J_k(x) on
     # T_k(Hs) psi; hop2 applies 2 Hs

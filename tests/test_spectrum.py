@@ -252,3 +252,58 @@ def test_butterfly_rejects_a_coarse_k_grid():
     assert len(butterfly(1.0, fluxes, k_grid=32)) == sum(f.q for f in fluxes)
     with pytest.raises(ValueError, match="k_grid"):
         butterfly(1.0, fluxes, k_grid=31)
+
+
+# -- real Bloch stacks -------------------------------------------------------------
+
+def _complex_two_point_edges(kappa_x_abs, kappa_y_abs, q, alphas):
+    # the complex Hermitian two-point construction H = D + h S + h* S^T, with
+    # h = -|kappa_x| e^{i kx'} and S the cyclic shift, solved at kx' = ky' in
+    # {0, pi/q}; rows (E_min, E_max), q per flux, in the order of alphas
+    k = np.array([0.0, PI / q])
+    diag = -2.0 * kappa_y_abs * np.cos(k[:, None] + 2 * PI * alphas[:, None, None] * np.arange(q))
+    S = np.roll(np.eye(q), 1, axis=1)
+    hop = (-kappa_x_abs * np.exp(1j * k))[:, None, None]
+    H = diag[..., None] * np.eye(q) + hop * S + np.conj(hop) * S.T
+    evals = np.linalg.eigvalsh(H)
+    return np.stack([evals.min(axis=1), evals.max(axis=1)], axis=-1).reshape(-1, 2)
+
+
+def test_bloch_stacks_are_real_symmetric_and_match_the_complex_form(monkeypatch):
+    # every stack eigvalsh sees is real symmetric, one per denominator, and
+    # every edge matches the complex form to 1e-13 max|kappa|: a butterfly,
+    # and harper_bands with complex kappa at q = 1, 2 and 5
+    ratio, fluxes = 0.7, farey_fluxes(12)
+    kx, ky = 1.3 * np.exp(0.4j), 0.8 * np.exp(-2.1j)
+    single = [RationalFlux(0, 1), RationalFlux(1, 2), RationalFlux(2, 5)]
+    ref_rows = np.concatenate([_complex_two_point_edges(1.0, ratio, f.q, np.array([f.alpha]))
+                               for f in fluxes])
+    ref_bands = [_complex_two_point_edges(abs(kx), abs(ky), f.q, np.array([f.alpha]))
+                 for f in single]
+    stacks = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a):
+        stacks.append(a.copy())
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    rows = butterfly(ratio, fluxes)
+    np.testing.assert_allclose(rows[:, 1:], ref_rows, rtol=0, atol=1e-13)
+    for f, ref in zip(single, ref_bands):
+        bands = np.array(harper_bands(_hoppings(kx, ky, f), f).intervals)
+        np.testing.assert_allclose(bands, ref, rtol=0, atol=1e-13 * max(abs(kx), abs(ky)))
+    per_q = Counter(f.q for f in fluxes)
+    assert [a.shape for a in stacks] == ([(per_q[q], 2, q, q) for q in sorted(per_q)]
+                                         + [(1, 2, f.q, f.q) for f in single])
+    for a in stacks:
+        assert a.dtype == np.float64 and np.array_equal(a, a.swapaxes(-1, -2))
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_spectrum_input_is_rejected(bad):
+    with pytest.raises(ValueError, match="ratio must be finite"):
+        butterfly(bad, farey_fluxes(3))
+    for kappa_x, kappa_y in ((bad, 1.0), (1.0, bad), (complex(1.0, bad), 1.0)):
+        with pytest.raises(ValueError, match="must be finite"):
+            EffectiveHoppings(kappa_x, kappa_y, alpha=0.5, M=1, sigma=PI, rho=PI)
