@@ -446,9 +446,10 @@ def _fluxes(spec: str, h: EffectiveHoppings) -> tuple[RationalFlux, ...]:
     if size > _TRAJECTORY_BYTES_MAX:
         raise ValidationError(f"flux {spec} needs Bloch stacks above {_TRAJECTORY_BYTES_MAX} B: "
                               f"{size} B of real {q}x{q} matrices, two per flux")
-    if farey and abs(h.kappa_x) == 0.0:
-        raise ValidationError("butterfly energies are in units of kappa_x; "
-                              "it must be nonzero")
+    if farey and (abs(h.kappa_x) == 0.0
+                  or not math.isfinite(2.0 * (abs(h.kappa_y) / abs(h.kappa_x)))):
+        raise ValidationError("butterfly energies are in units of kappa_x; it must be "
+                              "nonzero, and 2|kappa_y / kappa_x| finite")
     return tuple(farey_fluxes(q)) if farey else (RationalFlux(p, q),)
 
 

@@ -24,12 +24,13 @@ explicit RK4 below norm_drift_tol * J * (t - t_start); drift is budgeted,
 not corrected, and every trajectory records the norms of the samples it
 returns so the budget can be audited after the fact.
 
-Each propagator makes its samples one at a time (evolve_effective one
-Chebyshev block at a time, block and its vector buffer each within
-effective._BLOCK_BYTES) and hands each to one reducer, _Run, which reads
-it once.  Runner runs keep no stack, so they hold one sample or one block
-and buffer; API callers that keep the amplitudes (the default) store them
-all, and config's trajectory cap counts the bytes a run produces either way.
+Each propagator makes its samples one at a time (evolve_effective from
+one Chebyshev basis a block, in slabs of samples, or past its buffer the
+block, each within effective._BLOCK_BYTES) and hands each to one reducer,
+_Run, which reads it once.  Runner runs keep no stack, so they hold one
+sample, or a basis and one slab or block; API callers that keep the
+amplitudes (the default) store them all, and config's trajectory cap
+counts the bytes a run produces either way.
 
 The hopping is the one operator a run applies: _neighbor_diagonals gives
 it as a sorted {offset: coefficient} map, which _neighbor_matrix exports
@@ -237,8 +238,9 @@ class _Run:
     recording its norm and edge-ring mass (the audit of every Trajectory)
     and, as ``keep`` asks, its _SampleSums row or a copy into the
     (T, Nn, Nm) stack; the last sample is copied as the final field.  So a
-    run holds one sample or one block of the propagator, never the stack
-    unless asked.  trajectory() runs what is left and returns the record.
+    run holds what the propagator holds (one sample, or a Chebyshev basis
+    and one slab or block), never the stack unless asked.  trajectory()
+    runs what is left and returns the record.
     """
 
     def __init__(self, window: LatticeWindow, times: np.ndarray, samples,

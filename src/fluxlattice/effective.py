@@ -63,17 +63,27 @@ def effective_matrix(window: LatticeWindow, hoppings: EffectiveHoppings):
     return _neighbor_matrix(window, *_effective_links(window, hoppings))
 
 
-def _chebyshev_block(hop2: _Hop, psi: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
-    """out[i] = exp(-i x_i Hs) psi = sum_k (2 - delta_k0) J_k(x_i) U_k.
+def _chebyshev_block(hop2: _Hop, psi: np.ndarray, x: np.ndarray, space: list):
+    """Yield exp(-i x_i Hs) psi = sum_k (2 - delta_k0) J_k(x_i) U_k as slabs of rows.
 
     hop2 applies -2i Hs, so U_k = (-i)^k T_k(Hs) psi = hop2(U_(k-1)) + U_(k-2)
     has real coefficients.  They are computed up to the bound _tail_order(max x),
     and the series stops at the first order past which the computed |c_k| of
     every row sum to below 4e-17.  That order lies past max x, where each
-    J_k(x) still rises with x, so the row of max x has the largest tail.  The
-    U_k pass through a buffer of at most _BLOCK_BYTES (at least two rows),
-    flushed as one real product (after the first flush, through a temporary
-    like out).
+    J_k(x) still rises with x, so the row of max x has the largest tail.
+
+    space is the run's [U_k buffer, store], two arrays of as many vectors,
+    replaced together by longer ones when this series needs more: up to its
+    terms, within _BLOCK_BYTES (at least two).  When the buffer holds the
+    whole series, the rows are made in near-equal slabs of at most the
+    store's length, each one real product of its coefficient rows with the
+    basis.  (numpy makes a one-row product another way, which rounds
+    differently; near-equal slabs have one row only in one-sample blocks or
+    two-row stores.)  Otherwise the block fits the store: the buffer
+    is flushed into it as it fills, the first time as one product and then
+    row by row, and the block is the one slab.  Each slab is a view of the
+    store that the next overwrites.  psi may be a row of the store: the
+    buffer takes it before any slab is written.
     """
     i = int(np.argmax(x))
     c = bessel_table(_tail_order(float(x[i])) - 1, x)
@@ -84,19 +94,32 @@ def _chebyshev_block(hop2: _Hop, psi: np.ndarray, x: np.ndarray, out: np.ndarray
         if tail >= 4e-17:
             break
     c = c[:, :terms]
-    buf = np.empty((min(terms, max(2, _BLOCK_BYTES // (16 * psi.size))), psi.size), complex)
-    buf_f, out_f = buf.view(float), out.view(float)
+    size = min(terms, max(2, _BLOCK_BYTES // (16 * psi.size)))
+    if len(space[0]) < size:
+        space[:] = [np.empty((size, psi.size), complex) for _ in range(2)]
+    buf, store = space
+    buf_f, store_f = buf.view(float), store.view(float)
+    outrun = terms > len(buf)
     for k in range(terms):
         j = k % len(buf)
-        if k < 2:
-            buf[k] = 0.5 * hop2(psi) if k else psi
+        if k == 0:
+            buf[0] = psi
+        elif k == 1:
+            np.multiply(hop2(psi), 0.5, out=buf[1])
         else:  # rows j-1 and j-2 wrap around
             np.add(hop2(buf[j - 1]), buf[j - 2], out=buf[j])
-        if j == len(buf) - 1 or k == terms - 1:
+        if outrun and (j == len(buf) - 1 or k == terms - 1):
             if k == j:
-                np.matmul(c[:, :k + 1], buf_f[:k + 1], out=out_f)
+                np.matmul(c[:, :k + 1], buf_f[:k + 1], out=store_f[:len(c)])
             else:
-                out_f += c[:, k - j:k + 1] @ buf_f[:j + 1]
+                for coeffs, out in zip(c[:, k - j:k + 1], store_f):
+                    out += coeffs @ buf_f[:j + 1]
+    if outrun:
+        yield store[:len(c)]
+        return
+    for rows in np.array_split(c, -(-len(c) // len(store))):
+        np.matmul(rows, buf_f[:terms], out=store_f[:len(rows)])
+        yield store[:len(rows)]
 
 
 def evolve_effective(initial: WaveField, hoppings: EffectiveHoppings, t_samples,
@@ -108,9 +131,10 @@ def evolve_effective(initial: WaveField, hoppings: EffectiveHoppings, t_samples,
     >= ||H|| (Tal-Ezer and Kosloff 1984).  From the state at a block start
     t_b, one set of U_k = (-i)^k T_k(H/R) psi(t_b) serves every following
     sample with R (t - t_b) <= _BLOCK_SPAN (at least one; the samples, and
-    the U_k, at most _BLOCK_BYTES each) is a row of one product with the
-    real coefficients (2 - delta_k0) J_k(R (t - t_b)); the block's last
-    sample starts the next.  A sample at or before t_start is the input.
+    the U_k, at most _BLOCK_BYTES each): each is a row of a product with the
+    real coefficients (2 - delta_k0) J_k(R (t - t_b)), made a slab of rows
+    at a time; the block's last sample starts the next.  A sample at or
+    before t_start is the input.
     opts.dt_max has no effect; the drift and edge-mass checks still apply.
     keep is evolve_full's.
     """
@@ -121,7 +145,12 @@ def _effective_run(initial: WaveField, hoppings: EffectiveHoppings, t_samples,
                    opts: IntegratorOptions | None, t_start: float, keep: str) -> _Run:
     """evolve_effective's samples as a _Run, made one Chebyshev block at a time.
 
-    The run holds one block of samples and one U_k buffer, each within _BLOCK_BYTES.
+    The run makes one U_k buffer and one store of as many samples, each
+    within _BLOCK_BYTES, and lengthens them only when a block's series needs
+    more.  So it holds the basis and one slab of samples, or, while a series
+    outruns the buffer, the block; no flush makes a product larger than a
+    sample.  A block starts from the last sample of the one before, a row of
+    the store, so a block that lengthens the store holds the old one too.
     """
     opts = opts or IntegratorOptions()
     window = initial.window
@@ -132,17 +161,16 @@ def _effective_run(initial: WaveField, hoppings: EffectiveHoppings, t_samples,
                                      scale=-2j / R), initial.amplitudes.size)
 
     def samples(psi):
-        block = np.empty((0, psi.size), dtype=complex)
+        space = [np.empty((0, psi.size), dtype=complex)] * 2
         start, t_b, rows = 0, t_start, _BLOCK_BYTES // (16 * psi.size)
         while start < t.size:
             stop = max(start + 1, min(start + rows, int(np.searchsorted(
                 t, t_b + _BLOCK_SPAN / R, side="right"))))
             x = R * np.maximum(t[start:stop] - t_b, 0.0)
-            if len(block) < x.size:
-                block = np.empty((x.size, psi.size), dtype=complex)
-            _chebyshev_block(hop2, psi, x, block[:x.size])
-            start, t_b, psi = stop, max(t_b, t[stop - 1]), block[x.size - 1].copy()
-            yield from block[:x.size]
+            for slab in _chebyshev_block(hop2, psi, x, space):
+                yield from slab
+            # a row of the store, which the next block reads before it writes a slab
+            start, t_b, psi = stop, max(t_b, t[stop - 1]), slab[-1]
 
     return _Run(window, t, samples(initial.amplitudes.ravel()), keep,
                 opts, max(kx, ky) or 1.0, t_start)

@@ -133,7 +133,8 @@ class EffectiveHoppings:
     """Complex effective couplings and the flux they imply.
 
     alpha is the magnetic flux per plaquette in units of the flux quantum;
-    it is tied to the drive geometry by alpha = sigma M / (2 pi).
+    it is tied to the drive geometry by alpha = sigma M / (2 pi).  The bound
+    2(|kappa_x| + |kappa_y|) on every energy must be finite.
     """
 
     kappa_x: complex
@@ -146,8 +147,9 @@ class EffectiveHoppings:
     def __post_init__(self):
         object.__setattr__(self, "kappa_x", complex(self.kappa_x))
         object.__setattr__(self, "kappa_y", complex(self.kappa_y))
-        if not (cmath.isfinite(self.kappa_x) and cmath.isfinite(self.kappa_y)):
-            raise ValueError("kappa_x and kappa_y must be finite")
+        if not math.isfinite(2.0 * (abs(self.kappa_x) + abs(self.kappa_y))):  # nan, inf too
+            raise ValueError("kappa_x and kappa_y must be finite, and so must "
+                             "2(|kappa_x| + |kappa_y|)")
         expected = self.M * self.sigma / TWO_PI
         if abs(self.alpha - expected) > 1e-12 * max(1.0, abs(expected)):
             raise ValueError(f"alpha {self.alpha} inconsistent with sigma*M/(2*pi) = {expected}")

@@ -7,12 +7,13 @@ named tables {role: (header, table[, fmt])} and its stdout summary lines;
 line ends, one header line (the final-field matrices ``L_field_final_re``
 and ``_im`` have none), floats as ``%.12g``, and integer and flag columns
 (band index, ``touching_next``, units ``M``) as ``%d``: np.savetxt's bytes.
-Tables are formatted and written in blocks of ``_CSV_BLOCK`` rows, by one
-of two paths that give the same bytes.  A float table whose blocks hold at
-least ``_ARRAY_MIN_CELLS`` cells is formatted as arrays of digits; the few
-cells whose rounding that arithmetic cannot settle (0, inf, nan, extreme
-magnitudes and near-ties) are formatted by ``'%.12g' % v``.  Every other
-table, including any with a per-column format, is formatted one % per row.
+Tables are formatted and written in blocks of at least ``_CSV_BLOCK`` rows
+and ``_CSV_BLOCK_CELLS`` cells, by one of two paths that give the same
+bytes.  A float table whose first block reaches ``_ARRAY_MIN_CELLS`` cells
+is formatted as arrays of digits; the few cells whose rounding that
+arithmetic cannot settle (0, inf, nan, extreme magnitudes and near-ties)
+are formatted by ``'%.12g' % v``.  Every other table, including any with a
+per-column format, is formatted one % per row.
 Every run also writes ``L_meta.json``.  It embeds the fully resolved
 config under "config", so the JSON file itself is a valid input to ``run``
 and reproduces the outputs exactly; complex numbers appear in it as
@@ -66,11 +67,13 @@ class RunResult:
 
 # -- output ------------------------------------------------------------------
 
-_CSV_BLOCK = 64  # rows formatted per write
-# A float table in '%.12g' takes the array path when a block holds at least
-# this many cells (min(rows, _CSV_BLOCK) * columns).  Below it, the array
-# path's fixed cost per block outweighs its saving per cell.  The measurement
-# is in CHANGES.md.
+_CSV_BLOCK = 64  # fewest rows formatted per write
+# Fewest cells formatted per write, so a narrow table has longer blocks.  The
+# array path's fixed cost per block, paid with cold caches after a run's
+# solve, outweighs its saving per cell on blocks of a few hundred cells.
+_CSV_BLOCK_CELLS = 4096
+# A float table in '%.12g' takes the array path when its first block holds
+# at least this many cells.  The measurements are in CHANGES.md.
 _ARRAY_MIN_CELLS = 512
 _E0 = 300  # row of decimal exponent 0 in the per-exponent tables (E = -300 ... 300)
 _J = np.arange(4)[:, None]  # the four 3-digit groups of a 12-digit mantissa
@@ -183,13 +186,15 @@ def _float_cells(block) -> bytes:
 def _write_csv(path: Path, header, table, fmt="%.12g") -> None:
     """np.savetxt's bytes for these arguments, formatted and written by blocks.
 
-    A float64 table in the default '%.12g' whose blocks hold at least
+    A block holds at least _CSV_BLOCK rows and _CSV_BLOCK_CELLS cells.  A
+    float64 table in the default '%.12g' whose first block reaches
     _ARRAY_MIN_CELLS cells is formatted as arrays (``_float_cells``); every
     other table one % per row.  A table without rows writes its header alone.
     """
     table = np.asarray(table)
+    rows = max(_CSV_BLOCK, -(-_CSV_BLOCK_CELLS // max(1, table.shape[-1])))
     if (fmt == "%.12g" and table.dtype == np.float64
-            and min(len(table), _CSV_BLOCK) * table.shape[-1] >= _ARRAY_MIN_CELLS):
+            and min(len(table), rows) * table.shape[-1] >= _ARRAY_MIN_CELLS):
         block_bytes = _float_cells
     else:
         line = ",".join([fmt] * table.shape[-1] if isinstance(fmt, str) else fmt) + "\r\n"
@@ -199,8 +204,8 @@ def _write_csv(path: Path, header, table, fmt="%.12g") -> None:
     with path.open("wb") as fh:
         if header:
             fh.write((",".join(header) + "\r\n").encode())
-        for i in range(0, len(table), _CSV_BLOCK):
-            fh.write(block_bytes(table[i:i + _CSV_BLOCK]))
+        for i in range(0, len(table), rows):
+            fh.write(block_bytes(table[i:i + rows]))
 
 
 def _plain(obj):

@@ -165,12 +165,12 @@ def butterfly(ratio: float, flux_list, k_grid: int = 64) -> np.ndarray:
     Energies are in units of kappa_x.  Returns rows (alpha, E_min, E_max),
     one per band, ordered by flux then energy — the Hofstadter-butterfly
     dataset for plotting.  ``k_grid`` (>= 32) is validated but does not
-    affect the edges, which are exact.  ratio must be finite.
+    affect the edges, which are exact.  2 ratio must be finite.
     """
     if k_grid < 32:
         raise ValueError("k_grid must be >= 32")
-    if not math.isfinite(ratio):
-        raise ValueError("ratio must be finite")
+    if not math.isfinite(2.0 * ratio):
+        raise ValueError("ratio must be finite, and so must 2 ratio")
     fluxes = list(flux_list)
     qs = np.array([f.q for f in fluxes], dtype=int)
     alphas = np.array([f.alpha for f in fluxes])

@@ -746,6 +746,19 @@ def test_bloch_stack_cap_counts_real_entries(tmp_path, capsys, monkeypatch, flux
     assert f"{size} B of real" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("couplings", ["J_x = 1\nJ_y = 1e308", "J_x = 1e308\nJ_y = 1e308"])
+def test_an_overflowing_kappa_fails_validation(tmp_path, capsys, couplings):
+    # kappa_y / kappa_x = 1e308 (whose double overflows) in the shipped butterfly,
+    # or 2(|kappa_x| + |kappa_y|) past the float range: refused at load,
+    # where the run failed in its eigensolve
+    ini = (CONFIGS / "butterfly.ini").read_text().replace("J_x = 1\nJ_y = 1", couplings)
+    cfg = _write(tmp_path, "bf.ini", ini)
+    assert main(["validate", str(cfg)]) == 3
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path), "--quiet"]) == 3
+    assert "finite" in capsys.readouterr().err
+    assert not list(tmp_path.glob("butterfly_*"))
+
+
 @pytest.mark.parametrize("gamma, code", [("1e7", 3), ("-1e7", 3), ("10001", 3),
                                          ("1e4", 0), ("-1e4", 0)])
 def test_large_gamma_fails_fast_at_load(tmp_path, capsys, gamma, code):

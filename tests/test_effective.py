@@ -150,11 +150,11 @@ def test_a_long_span_stops_at_the_computed_tail(rng, monkeypatch):
     # (x/2)^k / k! bound would run to 850 terms
     products, block = [], effective_module._chebyshev_block
 
-    def spy(hop2, psi, x, out):
+    def spy(hop2, psi, x, space):
         def counted(v):
             products.append(1)
             return hop2(v)
-        block(counted, psi, x, out)
+        return block(counted, psi, x, space)
 
     monkeypatch.setattr(effective_module, "_chebyshev_block", spy)
     h = EffectiveHoppings(1.0, 1.0, alpha=0.2, M=1, sigma=0.4 * PI, rho=PI)  # R = 4
@@ -181,8 +181,8 @@ def test_the_series_stops_where_the_tail_of_every_row_does(rng):
             products.append(1)
             return np.zeros_like(v)
 
-        effective_module._chebyshev_block(hop2, np.ones(1, complex), x,
-                                          np.empty((x.size, 1), complex))
+        list(effective_module._chebyshev_block(hop2, np.ones(1, complex), x,
+                                               [np.empty((0, 1), complex)] * 2))
         assert len(products) == terms - 1
 
 
@@ -217,9 +217,11 @@ def test_real_coefficients_match_the_complex_form(rng, monkeypatch):
     real = evolve_effective(field, h, ts)
     terms = []
 
-    def complex_block(hop2, psi, x, out):  # 1j * hop2 applies 2 Hs
+    def complex_block(hop2, psi, x, space):  # 1j * hop2 applies 2 Hs
         terms.append(_tail_order(float(np.max(x))))
+        out = np.empty((x.size, psi.size), complex)
         _complex_chebyshev_block(lambda v: 1j * hop2(v), psi, x, out)
+        yield out
 
     monkeypatch.setattr(effective_module, "_chebyshev_block", complex_block)
     ref = evolve_effective(field, h, ts)
@@ -232,9 +234,11 @@ def test_a_chebyshev_block_holds_at_most_its_byte_budget(monkeypatch):
     # the budget allows, so the span is cut into budget-sized blocks
     held, block = [], effective_module._chebyshev_block
 
-    def spy(hop2, psi, x, out):
-        held.append(out.shape[0] * psi.size * 16)
-        block(hop2, psi, x, out)
+    def spy(hop2, psi, x, space):
+        held.append(0)
+        for slab in block(hop2, psi, x, space):
+            held[-1] += slab.nbytes
+            yield slab
 
     monkeypatch.setattr(effective_module, "_chebyshev_block", spy)
     budget = effective_module._BLOCK_BYTES
@@ -264,6 +268,19 @@ def test_capped_blocks_give_the_same_samples(rng, monkeypatch):
         assert np.max(np.abs(traj.amplitudes - ref.amplitudes)) <= 1e-13
 
 
+def _extra_peak(field, h, t, t_ref):
+    # tracemalloc peak of a run over t, less that of a run over t_ref
+    def peak(times):
+        tracemalloc.start()
+        try:
+            evolve_effective(field, h, times, keep="final")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return peak(t) - peak(t_ref)
+
+
 def test_the_chebyshev_vectors_share_the_byte_budget(rng, monkeypatch):
     # a budget of four vectors on 41 x 41 sites, four samples a block and
     # x <= 3.8, so each series has 24 terms and outruns the buffer
@@ -275,23 +292,29 @@ def test_the_chebyshev_vectors_share_the_byte_budget(rng, monkeypatch):
     assert _tail_order(3.8) >= 20
     field = _random_field(rng, w)
     ref = evolve_effective(field, h, ts)
-
-    def extra_peak(t):
-        tracemalloc.start()
-        try:
-            evolve_effective(field, h, t, keep="final")
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
     monkeypatch.setattr(effective_module, "_BLOCK_BYTES", 4 * vector)
     # over a run whose one block and series hold one vector each, the run
-    # adds at most the budget, the block, and the product a flush past the
-    # first adds to the block
-    extra = extra_peak(ts) - extra_peak(ts[:1])
-    assert extra <= 4 * vector + 2 * 4 * vector
+    # adds at most the budget and the block, which each flush past the
+    # first accumulates into row by row
+    assert _extra_peak(field, h, ts, ts[:1]) <= 4 * vector + 4 * vector
     traj = evolve_effective(field, h, ts)
     assert np.max(np.abs(traj.amplitudes - ref.amplitudes)) <= 1e-13
+
+
+def test_a_block_of_samples_is_held_one_slab_at_a_time(rng):
+    # 200 samples on 41 x 41 sites with x = R t <= 3.9 make one Chebyshev
+    # block, whose series fits its buffer: the run holds the series and one
+    # slab of as many rows, never the 200 samples of the block
+    h = _fig_hoppings()
+    R = 2.0 * (abs(h.kappa_x) + abs(h.kappa_y))
+    w = LatticeWindow.centered(20)
+    vector = 16 * w.shape[0] * w.shape[1]
+    ts = np.linspace(0.0, 3.9 / R, 200)
+    assert ts.size * vector <= effective_module._BLOCK_BYTES
+    terms = _tail_order(3.9)  # at least the series' length
+    extra = _extra_peak(_random_field(rng, w), h, ts, ts[:1])
+    # the basis and the slab, plus a few window vectors
+    assert extra <= (2 * terms + 4) * vector < ts.size * vector
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (7, 1), (2, 2), (9, 13), (25, 25)])

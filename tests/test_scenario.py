@@ -268,7 +268,7 @@ _AWKWARD = [0.0, -0.0, 1.0, -2.5, 1e-300, 123456789012345.0, 1.0 / 3.0,
 def _blocked_table():
     """A float table on the array path, _AWKWARD on both sides of each block boundary."""
     block = fluxlattice.runner._CSV_BLOCK
-    cols = -(-fluxlattice.runner._ARRAY_MIN_CELLS // block)
+    cols = -(-fluxlattice.runner._CSV_BLOCK_CELLS // block)  # blocks of _CSV_BLOCK rows
     table = np.random.default_rng(7).standard_normal((3 * block + 5, cols)) * 1e3
     edges = [r for b in range(block, len(table), block) for r in (b - 1, b)]
     table[edges] = np.resize(_AWKWARD, (len(edges), cols))
@@ -296,6 +296,26 @@ def _blocked_table():
 def test_csv_writer_matches_savetxt(tmp_path, table):
     fluxlattice.runner._write_csv(tmp_path / "w.csv", *table)
     assert (tmp_path / "w.csv").read_bytes() == _savetxt_bytes(tmp_path / "s.csv", *table)
+
+
+@pytest.mark.parametrize("cols", [1, 2, 3, 9])
+def test_a_narrow_table_is_formatted_as_arrays_in_blocks_of_enough_cells(tmp_path, monkeypatch,
+                                                                          cols):
+    # a block holds at least _CSV_BLOCK_CELLS cells whatever the width, so
+    # narrow tables (visibility has 2 columns, com 3, kinematics 9) take the
+    # array path in long blocks; _AWKWARD sits on both sides of each block
+    # boundary
+    block = -(-fluxlattice.runner._CSV_BLOCK_CELLS // cols)
+    table = np.random.default_rng(cols).standard_normal((2 * block + 3, cols)) * 1e3
+    edges = [block - 1, block, 2 * block - 1, 2 * block]
+    table[edges] = np.resize(_AWKWARD, (len(edges), cols))
+    header = [f"c{i}" for i in range(cols)]
+    shapes, cells = [], fluxlattice.runner._float_cells
+    monkeypatch.setattr(fluxlattice.runner, "_float_cells",
+                        lambda b: shapes.append(b.shape) or cells(b))
+    fluxlattice.runner._write_csv(tmp_path / "w.csv", header, table)
+    assert shapes == [(block, cols), (block, cols), (3, cols)]
+    assert (tmp_path / "w.csv").read_bytes() == _savetxt_bytes(tmp_path / "s.csv", header, table)
 
 
 @pytest.mark.parametrize("table", [np.empty(0), butterfly(1.0, [])],

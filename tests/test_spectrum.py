@@ -307,3 +307,18 @@ def test_non_finite_spectrum_input_is_rejected(bad):
     for kappa_x, kappa_y in ((bad, 1.0), (1.0, bad), (complex(1.0, bad), 1.0)):
         with pytest.raises(ValueError, match="must be finite"):
             EffectiveHoppings(kappa_x, kappa_y, alpha=0.5, M=1, sigma=PI, rho=PI)
+
+
+def test_an_overflowing_kappa_is_rejected_and_a_large_one_is_not():
+    # 2 x 1e308 overflows, and so does 2(|kappa_x| + |kappa_y|) at 8e307 each
+    with pytest.raises(ValueError, match="ratio must be finite"):
+        butterfly(1e308, farey_fluxes(3))
+    for kappa_x, kappa_y in ((1.0, 1e308), (1e308j, 1.0), (8e307, 8e307)):
+        with pytest.raises(ValueError, match="must be finite"):
+            EffectiveHoppings(kappa_x, kappa_y, alpha=0.5, M=1, sigma=PI, rho=PI)
+    # at 8e307 every band edge is finite
+    assert np.all(np.isfinite(butterfly(8e307, farey_fluxes(3))))
+    flux = RationalFlux(1, 3)
+    for kappa_x, kappa_y in ((1.0, 8e307), (8e307, 1.0)):
+        bands = harper_bands(_hoppings(kappa_x, kappa_y, flux), flux)
+        assert np.all(np.isfinite(bands.intervals))
