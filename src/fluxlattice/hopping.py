@@ -42,7 +42,6 @@ __all__ = [
 
 _SERIES_BELOW = 1e-3  # power series below; its fourth term is < 3e-21 there
 _MILLER_START = 1e-280  # Miller's recurrence starts here, rescales past 1e300
-_LOG_MAX = math.log(1e300)
 
 
 def _tail_order(x: float, start: int = 0, drop: float = 0.0) -> int:
@@ -77,26 +76,21 @@ def _bessel_miller(top: int, x: np.ndarray) -> np.ndarray:
     """J_0..J_top at x >= _SERIES_BELOW by Miller's backward recurrence.
 
     f_(j-1) = (2j/x) f_j - f_(j+1) from f_(N+1) = 0, normalised by
-    J_0 + 2 sum J_2k = 1.  No column grows by more than prod_j (2j/x_min + 1)
-    = (2/x_min)^N Gamma(N + 1 + x_min/2) / Gamma(1 + x_min/2), so rescaling
-    is checked for only when that bound can pass 1e300.
+    J_0 + 2 sum J_2k = 1.  No column grows by more than prod_j (2j/x_min + 1),
+    a bound the loop keeps as it goes, rescaling the rows when it passes 1e300.
     """
     N = _tail_order(float(x.max()), top, 25.0)  # J_top keeps 1e-13 relative
     N += N % 2
     f = np.zeros((N + 2, x.size))
     f[N] = _MILLER_START
     ratio = (2.0 * np.arange(N + 1))[:, None] / x
-    x_min = float(x.min())
-    log_bound = math.log(_MILLER_START)
-    check = (log_bound + N * math.log(2.0 / x_min) + math.lgamma(N + 1.0 + 0.5 * x_min)
-             - math.lgamma(1.0 + 0.5 * x_min)) > _LOG_MAX
+    bound, scale = _MILLER_START, 2.0 / float(x.min())
     cur, nxt = f[N], f[N + 1]
     for j in range(N, 0, -1):
-        if check:
-            log_bound += math.log1p(2.0 * j / x_min)
-            if log_bound > _LOG_MAX:
-                f[j:] /= np.maximum(np.abs(cur), np.abs(nxt))
-                log_bound = math.log1p(2.0 * j / x_min)
+        bound *= 1.0 + scale * j  # inf past the largest double, so it rescales too
+        if bound > 1e300:
+            f[j:] /= np.maximum(np.abs(cur), np.abs(nxt))
+            bound = 1.0 + scale * j
         prev = f[j - 1]
         np.subtract(np.multiply(ratio[j], cur, out=prev), nxt, out=prev)
         cur, nxt = prev, cur

@@ -7,13 +7,13 @@ named tables {role: (header, table[, fmt])} and its stdout summary lines;
 line ends, one header line (the final-field matrices ``L_field_final_re``
 and ``_im`` have none), floats as ``%.12g``, and integer and flag columns
 (band index, ``touching_next``, units ``M``) as ``%d``: np.savetxt's bytes.
-Tables are formatted and written in blocks of at least ``_CSV_BLOCK`` rows
-and ``_CSV_BLOCK_CELLS`` cells, by one of two paths that give the same
-bytes.  A float table whose first block reaches ``_ARRAY_MIN_CELLS`` cells
-is formatted as arrays of digits; the few cells whose rounding that
+Tables are formatted and written in blocks of whole rows that hold at
+least ``_CSV_BLOCK_CELLS`` cells, each block by one format call on one of
+two paths that give the same bytes.  A float table that fills a block is
+formatted as arrays of digits; the few cells whose rounding that
 arithmetic cannot settle (0, inf, nan, extreme magnitudes and near-ties)
 are formatted by ``'%.12g' % v``.  Every other table, including any with a
-per-column format, is formatted one % per row.
+per-column format, is formatted by one % of its row format repeated per row.
 Every run also writes ``L_meta.json``.  It embeds the fully resolved
 config under "config", so the JSON file itself is a valid input to ``run``
 and reproduces the outputs exactly; complex numbers appear in it as
@@ -67,14 +67,11 @@ class RunResult:
 
 # -- output ------------------------------------------------------------------
 
-_CSV_BLOCK = 64  # fewest rows formatted per write
-# Fewest cells formatted per write, so a narrow table has longer blocks.  The
-# array path's fixed cost per block, paid with cold caches after a run's
-# solve, outweighs its saving per cell on blocks of a few hundred cells.
+# Fewest cells formatted per write, whatever the width, and the fewest a
+# float table needs for the array path: its fixed cost per block, paid with
+# cold caches after a run's solve, outweighs its saving per cell on tables
+# of a few hundred cells.  The measurements are in CHANGES.md.
 _CSV_BLOCK_CELLS = 4096
-# A float table in '%.12g' takes the array path when its first block holds
-# at least this many cells.  The measurements are in CHANGES.md.
-_ARRAY_MIN_CELLS = 512
 _E0 = 300  # row of decimal exponent 0 in the per-exponent tables (E = -300 ... 300)
 _J = np.arange(4)[:, None]  # the four 3-digit groups of a 12-digit mantissa
 _GROUP_SCALE = 1e3 ** (3 - _J)
@@ -186,21 +183,20 @@ def _float_cells(block) -> bytes:
 def _write_csv(path: Path, header, table, fmt="%.12g") -> None:
     """np.savetxt's bytes for these arguments, formatted and written by blocks.
 
-    A block holds at least _CSV_BLOCK rows and _CSV_BLOCK_CELLS cells.  A
-    float64 table in the default '%.12g' whose first block reaches
-    _ARRAY_MIN_CELLS cells is formatted as arrays (``_float_cells``); every
-    other table one % per row.  A table without rows writes its header alone.
+    A block is the fewest whole rows that hold _CSV_BLOCK_CELLS cells.  A
+    float64 table in the default '%.12g' that fills one block is formatted
+    as arrays (``_float_cells``); every other table by one % of its row
+    format repeated per row.  A table without rows writes its header alone.
     """
     table = np.asarray(table)
-    rows = max(_CSV_BLOCK, -(-_CSV_BLOCK_CELLS // max(1, table.shape[-1])))
-    if (fmt == "%.12g" and table.dtype == np.float64
-            and min(len(table), rows) * table.shape[-1] >= _ARRAY_MIN_CELLS):
+    rows = -(-_CSV_BLOCK_CELLS // max(1, table.shape[-1]))
+    if fmt == "%.12g" and table.dtype == np.float64 and table.size >= _CSV_BLOCK_CELLS:
         block_bytes = _float_cells
     else:
         line = ",".join([fmt] * table.shape[-1] if isinstance(fmt, str) else fmt) + "\r\n"
 
         def block_bytes(block):
-            return "".join([line % tuple(row) for row in block.tolist()]).encode()
+            return ((line * len(block)) % tuple(block.ravel().tolist())).encode()
     with path.open("wb") as fh:
         if header:
             fh.write((",".join(header) + "\r\n").encode())
