@@ -180,6 +180,8 @@ _half_size = _checked(parse_int, lambda n: n >= 0, "lattice half-sizes must be >
 # that order); at the cap validate takes 0.1 s and 7 MB more, and a phase
 # Gamma G carries 2e-12 rad of rounding.  The paper's drives have Gamma ~ 1.
 _GAMMA_MAX = 1e4
+# largest |M|: the closed form sums J_0 .. J_|M| (0.03 s at the cap, 8 s at 1e6)
+_M_MAX = 10_000
 
 # section -> key -> (parser, default), in the order a config records them.
 # _REQUIRED: the key must be given; None: optional, and not recorded when
@@ -196,8 +198,9 @@ _KEYS = {
               "omega": _REAL,
               "Gamma": (_checked(parse_real, lambda g: abs(g) <= _GAMMA_MAX,
                                  f"|Gamma| must be <= {_GAMMA_MAX:g}, got {{}}"), _REQUIRED),
-              "M": _INT, "sigma": _REAL, "rho": _REAL,
-              "beta0": (parse_real, 0.0)},
+              "M": (_checked(parse_int, lambda m: abs(m) <= _M_MAX,
+                             f"|M| must be <= {_M_MAX}, got {{}}"), _REQUIRED),
+              "sigma": _REAL, "rho": _REAL, "beta0": (parse_real, 0.0)},
     "coupling": {"J_x": _REAL, "J_y": _REAL,
                  "method": (_checked(_text, ("auto", "closed", "quadrature").__contains__,
                                      "unknown hopping method {!r}"), "auto")},
@@ -302,6 +305,10 @@ _TRAJECTORY_BYTES_MAX = 2 ** 32
 # largest input a run may prepare, in bytes: every run with a window, a
 # semiclassical one too, builds its input in both frames (2 x 16 B a site)
 _WINDOW_BYTES_MAX = 2 ** 32
+# largest semiclassical run, in bytes: it holds its states, its table and
+# their CSV text, 417 B a sample (tracemalloc peak over 1e5 samples)
+_SEMICLASSICAL_BYTES_MAX = 2 ** 32
+_SEMICLASSICAL_SAMPLE_BYTES = 417
 
 
 def _read(given: dict, section: str, key: str):
@@ -408,8 +415,9 @@ def scenario_from_sections(sections: dict) -> Scenario:
 def _sample_counts(kind: str, fields: dict, drives) -> tuple[int, ...]:
     """Samples on [0, t_max] of each drive's run, every dt_sample or period.
 
-    Fails when a run's amplitudes would exceed _TRAJECTORY_BYTES_MAX, or
-    its input in both frames _WINDOW_BYTES_MAX.
+    Fails when a run's amplitudes would exceed _TRAJECTORY_BYTES_MAX (a
+    semiclassical run's samples _SEMICLASSICAL_BYTES_MAX), or its input in
+    both frames _WINDOW_BYTES_MAX.
     """
     counts = []
     for d in drives:
@@ -419,7 +427,13 @@ def _sample_counts(kind: str, fields: dict, drives) -> tuple[int, ...]:
             raise ValidationError("t_max / sample step overflows")
         counts.append(math.floor(steps + 1e-9) + 1)
     Nn, Nm = fields["window"].shape
-    if kind != "semiclassical":  # it keeps four means per sample, no field
+    if kind == "semiclassical":  # it keeps four means per sample, no field
+        size = max(counts) * _SEMICLASSICAL_SAMPLE_BYTES
+        if size > _SEMICLASSICAL_BYTES_MAX:
+            raise ValidationError(
+                f"{max(counts)} semiclassical samples need {size:.3g} B, above the "
+                f"{_SEMICLASSICAL_BYTES_MAX} B limit; raise dt_sample or lower t_max")
+    else:
         size = max(counts) * Nn * Nm * 16 * (2 if kind == "compare" else 1)
         if size > _TRAJECTORY_BYTES_MAX:
             raise ValidationError(

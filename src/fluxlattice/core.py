@@ -138,6 +138,8 @@ class Waveform:
         ys = np.asarray(ys, dtype=float)
         if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 2:
             raise ValueError("need matching 1-d sample arrays with >= 2 nodes")
+        if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+            raise ValueError("sample nodes and values must be finite")
         if xs[0] != 0.0:
             raise ValueError("sample grid must start at x = 0")
         if np.any(np.diff(xs) <= 0.0):
@@ -279,11 +281,14 @@ class DriveSpec:
         if not (0.0 < self.omega < math.inf and TWO_PI / self.omega < math.inf):
             raise ValueError(f"omega = {self.omega!r} must be positive and finite, "
                              "with a finite period 2 pi / omega")
+        if not all(map(math.isfinite, (self.beta0, self.F, self.A))):
+            raise ValueError(f"beta0 = {self.beta0!r}, F = {self.F!r} and A = {self.A!r} "
+                             "must be finite")
         if isinstance(self.M, bool) or not isinstance(self.M, (int, np.integer)):
             raise ValueError("M must be an integer")
-        if abs(self.sigma) > math.pi + 1e-12:
+        if not abs(self.sigma) <= math.pi + 1e-12:  # nan too
             raise ValueError("sigma must lie in [-pi, pi]")
-        if abs(self.rho) > math.pi + 1e-12:
+        if not abs(self.rho) <= math.pi + 1e-12:
             raise ValueError("rho must lie in [-pi, pi]")
 
     @classmethod

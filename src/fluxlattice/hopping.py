@@ -14,10 +14,10 @@ effective model; the flux density is alpha = sigma M / (2 pi).
 Two independent routes are provided on purpose: direct numerical
 quadrature, which works for any waveform, and closed-form expressions for
 the sinusoidal and delta-kick drives.  Keeping both lets each validate the
-other; do not fold them together.  The Bessel functions of the sinusoidal
-closed form come from bessel_table, Miller's backward recurrence.  _tail_order
-holds the one tail bound |J_v(x)| <= (x/2)^v / v!: it starts that recurrence
-and caps the effective model's Chebyshev series.
+other; do not fold them together.  bessel_table gives every Bessel value (the
+closed form's, and the effective model's Chebyshev series'): Miller's backward
+recurrence, and J_0 = 1, J_1 = x/2 below x = 1e-300.  _tail_order's one bound
+|J_v(x)| <= (x/2)^v / v! starts that recurrence and caps that series.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ __all__ = [
     "hoppings_from_drive",
 ]
 
-_SERIES_BELOW = 1e-3  # power series below; its fourth term is < 3e-21 there
+_MILLER_FROM = 1e-300  # below: J_0 = 1, J_1 = x/2, higher orders underflow; 2j/x overflows
 _MILLER_START = 1e-280  # Miller's recurrence starts here, rescales past 1e300
 
 
@@ -63,17 +63,8 @@ def _tail_order(x: float, start: int = 0, drop: float = 0.0) -> int:
     return v
 
 
-def _bessel_series(top: int, x: np.ndarray) -> np.ndarray:
-    """J_0..J_top at 0 < x < _SERIES_BELOW: three terms of the power series."""
-    n = np.arange(top + 1)
-    half = 0.5 * x[:, None]
-    lead = np.cumprod(np.where(n == 0, 1.0, half / np.maximum(n, 1)), axis=1)
-    mq = -half * half
-    return lead * (1.0 + mq / (n + 1) * (1.0 + mq / (2 * (n + 2))))
-
-
 def _bessel_miller(top: int, x: np.ndarray) -> np.ndarray:
-    """J_0..J_top at x >= _SERIES_BELOW by Miller's backward recurrence.
+    """J_0..J_top at x >= _MILLER_FROM by Miller's backward recurrence.
 
     f_(j-1) = (2j/x) f_j - f_(j+1) from f_(N+1) = 0, normalised by
     J_0 + 2 sum J_2k = 1.  No column grows by more than prod_j (2j/x_min + 1),
@@ -104,13 +95,11 @@ def bessel_table(top: int, x) -> np.ndarray:
     if not np.all((flat >= 0.0) & (flat < math.inf)):
         raise ValueError("bessel_table needs finite x >= 0")
     out = np.zeros((flat.size, top + 1))
-    out[flat == 0.0, 0] = 1.0  # J_n(0) = delta_n0
-    big = flat >= _SERIES_BELOW
-    small = (flat > 0.0) & ~big
-    if small.any():
-        out[small] = _bessel_series(top, flat[small])
-    if big.any():
-        out[big] = _bessel_miller(top, flat[big])
+    tiny = flat < _MILLER_FROM  # 0 too: J_n(0) = delta_n0
+    out[tiny, 0] = 1.0
+    out[tiny, 1:2] = 0.5 * flat[tiny, None]
+    if not tiny.all():
+        out[~tiny] = _bessel_miller(top, flat[~tiny])
     return out.reshape(x.shape + (top + 1,))
 
 

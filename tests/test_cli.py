@@ -771,6 +771,28 @@ def test_large_gamma_fails_fast_at_load(tmp_path, capsys, gamma, code):
     assert ("|Gamma| must be <= 10000" in capsys.readouterr().err) == bool(code)
 
 
+@pytest.mark.parametrize("M, code", [("1000000000", 3), ("-1000000000", 3), ("10001", 3),
+                                     ("10000", 0), ("-10000", 0)])
+def test_large_M_fails_fast_at_load(tmp_path, capsys, M, code):
+    # the closed form sums J_0 .. J_|M|: |M| = 1e9 asked for a 7.45 GiB table
+    # and |M| = 1e6 took 8 s, so |M| past the cap is refused as it is read
+    ini = HOPPINGS_INI.replace("M = 1", f"M = {M}")
+    start = time.perf_counter()
+    assert main(["validate", str(_write(tmp_path, "m.ini", ini))]) == code
+    assert time.perf_counter() - start < 1.0
+    assert ("|M| must be <= 10000" in capsys.readouterr().err) == bool(code)
+
+
+def test_oversized_semiclassical_run_fails_fast_at_load(tmp_path, capsys):
+    # 1e12 samples would build a 7.28 TiB sample grid at run time
+    ini = ((CONFIGS / "fig2_semiclassical.ini").read_text()
+           .replace("t_max = 10", "t_max = 1e9").replace("dt_sample = 0.5", "dt_sample = 0.001"))
+    start = time.perf_counter()
+    assert main(["validate", str(_write(tmp_path, "sc.ini", ini))]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "1000000000001 semiclassical samples" in capsys.readouterr().err
+
+
 def test_output_format_is_pinned(tmp_path):
     # CRLF line ends, %.12g floats, integers and 0/1 flags without ".0",
     # one header line except on the field matrices, and RunResult.metadata

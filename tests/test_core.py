@@ -148,6 +148,15 @@ def test_sampled_validation_rejections():
         Waveform.sampled([0.0], [0.0])
 
 
+@pytest.mark.parametrize("xs, ys", [([0.0, 1.0, 2.0], [0.0, math.nan, 0.0]),
+                                     ([0.0, math.nan, 2.0], [0.0, 0.0, 0.0]),
+                                     ([0.0, 1.0, 2.0], [0.0, math.inf, 0.0])])
+def test_sampled_waveform_rejects_non_finite_samples(xs, ys):
+    # a nan node passes every ordering check; a nan value made a silent all-nan run
+    with pytest.raises(ValueError, match="finite"):
+        Waveform.sampled(xs, ys)
+
+
 def test_smoothed_delta_train_limits():
     wf = smoothed_delta_train(0.05)
     ys = np.asarray(wf.ys)
@@ -200,6 +209,17 @@ def test_drive_rejects_omega_without_finite_period(omega):
     with pytest.raises(ValueError, match="omega"):
         DriveSpec.resonant(omega=omega, Gamma=0.5, M=1, sigma=0.1, rho=0.1,
                            waveform=Waveform.sinusoidal())
+
+
+@pytest.mark.parametrize("key", ["beta0", "F", "A", "sigma", "rho"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_drive_rejects_non_finite_terms(key, value):
+    # nan passed every check, and evolve_full returned nan amplitudes without
+    # a warning; inf failed later as a step-size underflow
+    params = dict(beta0=0.0, F=8.0, omega=8.0, A=4.0, M=1, sigma=0.1, rho=0.1,
+                  waveform=Waveform.sinusoidal())
+    with pytest.raises(ValueError, match=key):
+        DriveSpec(**{**params, key: value})
 
 
 # -- fields -------------------------------------------------------------------

@@ -216,7 +216,7 @@ def test_hoppings_carry_drive_geometry():
     assert h.M == 1 and h.sigma == d.sigma and h.rho == d.rho
 
 
-# series (x < 1e-3), Miller without and with rescaling, and the region x > n
+# x = 0, Miller's recurrence without and with rescaling, and the region x > n
 BESSEL_X = np.array([0.0, 1e-12, 1e-7, 2e-6, 1e-3, 0.1, 1.0, 4.0, 25.0, 60.0])
 
 
@@ -248,6 +248,28 @@ def test_bessel_table_and_jv_match_scipy():
     assert jv(3, -2.0) == -jv(3, 2.0) == jv(-3, 2.0) == -jv(-3, -2.0)
     with pytest.raises(ValueError, match="x >= 0"):
         bessel_table(3, [-1.0])
+
+
+def test_bessel_table_below_the_recurrence_range():
+    # Miller's ratios 2j/x overflow below about 1e-305 (nan at 1e-310, a
+    # math-domain error at 5e-324); below 1e-300 every term past x/2 underflows
+    from scipy.special import jv as scipy_jv
+
+    tiny = np.array([0.0, 5e-324, 1e-310, 1e-301])
+    mixed = np.array([1e-301, 1e-12, 5e-4, 0.1, 25.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = bessel_table(40, tiny)
+        mixed_table = bessel_table(150, mixed)
+        assert bessel_table(0, tiny).tolist() == [[1.0]] * 4
+    expected = np.zeros((4, 41))
+    expected[:, 0], expected[:, 1] = 1.0, tiny / 2
+    assert np.array_equal(table, expected)
+    ref = scipy_jv(np.arange(151), mixed[:, None])
+    err = np.abs(mixed_table - ref)
+    assert np.all(err <= np.where(mixed == 25.0, 4e-16, 2e-16)[:, None])
+    large = np.abs(ref) > 1e-280
+    assert np.all(err[large] <= 1e-12 * np.abs(ref[large]))
 
 
 def test_a_long_bessel_recurrence_holds_no_row_per_order():
