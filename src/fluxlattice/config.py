@@ -26,8 +26,11 @@ import math
 from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
 
-from .core import DriveSpec, LatticeWindow, Waveform
+import numpy as np
+
+from .core import DriveSpec, LatticeWindow, Waveform, _GaugePhase
 from .dynamics import IntegratorOptions, _step_size
+from .effective import _chebyshev_rate, _semiclassical_step
 from .hopping import EffectiveHoppings, hoppings_from_drive
 from .physical import PhysicalParams, physical_units
 from .spectrum import RationalFlux, farey_fluxes
@@ -309,6 +312,11 @@ _WINDOW_BYTES_MAX = 2 ** 32
 # their CSV text, 417 B a sample (tracemalloc peak over 1e5 samples)
 _SEMICLASSICAL_BYTES_MAX = 2 ** 32
 _SEMICLASSICAL_SAMPLE_BYTES = 417
+# largest integration work a run may ask for (_check_work): RK4 steps of a
+# smooth full or compare drive or of a semiclassical run, kick stops of a
+# delta-kick run, and R times the longest gap between samples, the order of
+# an effective or compare run's longest Chebyshev series
+_WORK_MAX = 10 ** 7
 
 
 def _read(given: dict, section: str, key: str):
@@ -393,16 +401,18 @@ def scenario_from_sections(sections: dict) -> Scenario:
             drives = tuple(_drive(config["drive"], om) for om in
                            fields.get("omegas") or (config["drive"]["omega"],))
             fields["drives"] = drives
-            if kind in ("full_evolve", "compare"):
-                for d in drives:  # an RK4 step underflow fails here, not mid-run
-                    _step_size(d, fields["J_x"], fields["J_y"],
-                               fields.get("integrator") or IntegratorOptions())
+            # a full run's RK4 step, None for kicks; an underflow fails here, not mid-run
+            steps = [_step_size(d, fields["J_x"], fields["J_y"],
+                                fields.get("integrator") or IntegratorOptions())
+                     for d in drives] if kind in ("full_evolve", "compare") else []
             if "time" in config:
                 fields["samples"] = _sample_counts(kind, fields, drives)
             if kind != "full_evolve":
                 fields["hoppings"] = tuple(
                     hoppings_from_drive(d, fields["J_x"], fields["J_y"], fields["method"])
                     for d in drives)
+            if "time" in config:
+                _check_work(kind, fields, steps)
         if kind == "spectrum":
             fields["fluxes"] = _fluxes(fields["flux_spec"], fields["hoppings"][0])
         if kind == "units":
@@ -444,6 +454,39 @@ def _sample_counts(kind: str, fields: dict, drives) -> tuple[int, ...]:
         raise ValidationError(f"an input of {Nn}x{Nm} sites in both frames needs "
                               f"{2 * Nn * Nm * 16:.3g} B, above the {_WINDOW_BYTES_MAX} B limit")
     return tuple(counts)
+
+
+def _check_work(kind: str, fields: dict, steps: list) -> None:
+    """Fail when a run's integration work exceeds _WORK_MAX.
+
+    A run spans t_start .. 0 to its first sample, then one sample step to
+    each of the others.  steps holds each drive's RK4 step of a full run,
+    None for the delta-kick train (_step_size), and is empty for other kinds.
+    Counts are floats, so a span over a tiny step counts inf, not OverflowError.
+    """
+    for i, d in enumerate(fields["drives"]):
+        step = d.period if fields["stroboscopic"] else fields["dt_sample"]
+        gaps, lead = fields["samples"][i] - 1, -fields["t_start"]
+        work = []
+        if kind == "semiclassical":  # from t = 0
+            hop = fields["hoppings"][i]
+            h = _semiclassical_step(hop, hop.flux_angle)
+            work.append(("RK4 steps", gaps * np.ceil(step / h)))
+        elif steps and steps[i] is not None:
+            h = steps[i]
+            work.append(("RK4 steps", np.ceil(lead / h) + gaps * np.ceil(step / h)))
+        elif steps:  # a span stops at each kick of each class of phi mod 2 pi:
+            # two a period, and at most one more a span
+            classes = _GaugePhase(d, fields["window"]).classes[0].size
+            kicks = d.omega * (lead + gaps * step) / math.pi + gaps + 1
+            work.append(("kick stops", classes * kicks))
+        if kind in ("effective_evolve", "compare"):
+            longest = max(lead, step if gaps else 0.0)
+            work.append(("Chebyshev orders", _chebyshev_rate(fields["hoppings"][i]) * longest))
+        for what, count in work:
+            if count > _WORK_MAX:
+                raise ValidationError(f"{kind} run needs {count:.3g} {what}, "
+                                      f"above the {_WORK_MAX} limit")
 
 
 def _fluxes(spec: str, h: EffectiveHoppings) -> tuple[RationalFlux, ...]:

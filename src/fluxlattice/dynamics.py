@@ -25,12 +25,14 @@ not corrected, and every trajectory records the norms of the samples it
 returns so the budget can be audited after the fact.
 
 Each propagator makes its samples one at a time (evolve_effective from
-one Chebyshev basis a block, in slabs of samples, or past its buffer the
-block, each within effective._BLOCK_BYTES) and hands each to one reducer,
-_Run, which reads it once.  Runner runs keep no stack, so they hold one
-sample, or a basis and one slab or block; API callers that keep the
-amplitudes (the default) store them all, and config's trajectory cap
-counts the bytes a run produces either way.
+one Chebyshev basis a block, in slabs of samples into a store of half the
+basis's length, each slab stopping at its own series tail, or past its
+buffer the block, each within effective._BLOCK_BYTES) and hands each to
+one reducer, _Run, which reads it once.  Runner runs keep no stack, so
+they hold one sample, or a basis and one slab or block; API callers that
+keep the amplitudes (the default) store them all, and config's trajectory
+cap counts the bytes a run produces either way, as its work cap counts
+the steps, kick stops and series orders.
 
 The hopping is the one operator a run applies: _neighbor_diagonals gives
 it as a sorted {offset: coefficient} map, which _neighbor_matrix exports

@@ -13,6 +13,12 @@ the vertical links, winding with the column index n).  This module
 propagates that model exactly, converts fields between the driven and effective
 frames, evaluates expectation-value kinematics, and integrates the
 semiclassical closure of the mean-value equations.
+
+The exact propagator is a Chebyshev series, one basis a block of samples.
+A run holds the basis and a store of half as many samples, filled a slab
+at a time; each slab multiplies only the orders its own samples' series
+need, so a slab of short spans costs less.  A series longer than its
+byte-capped buffer is summed into a store of the whole block instead.
 """
 
 from __future__ import annotations
@@ -63,43 +69,51 @@ def effective_matrix(window: LatticeWindow, hoppings: EffectiveHoppings):
     return _neighbor_matrix(window, *_effective_links(window, hoppings))
 
 
+def _chebyshev_rate(hoppings: EffectiveHoppings) -> float:
+    """R = 2(|kappa_x| + |kappa_y|) >= ||H||, with x = R (t - t_b); 1 at H = 0."""
+    return 2.0 * (abs(hoppings.kappa_x) + abs(hoppings.kappa_y)) or 1.0
+
+
 def _chebyshev_block(hop2: _Hop, psi: np.ndarray, x: np.ndarray, space: list):
     """Yield exp(-i x_i Hs) psi = sum_k (2 - delta_k0) J_k(x_i) U_k as slabs of rows.
 
     hop2 applies -2i Hs, so U_k = (-i)^k T_k(Hs) psi = hop2(U_(k-1)) + U_(k-2)
-    has real coefficients.  They are computed up to the bound _tail_order(max x),
-    and the series stops at the first order past which the computed |c_k| of
-    every row sum to below 4e-17.  That order lies past max x, where each
-    J_k(x) still rises with x, so the row of max x has the largest tail.
+    has real coefficients.  They are computed up to the bound _tail_order(max x).
+    Row i stops at its own order, the first past which its computed |c_k|
+    sum to below 4e-17, and the series at the largest of these stops.  That
+    order lies past max x, where each J_k(x) still rises with x, so it is
+    the stop of the row of max x.
 
-    space is the run's [U_k buffer, store], two arrays of as many vectors,
-    replaced together by longer ones when this series needs more: up to its
-    terms, within _BLOCK_BYTES (at least two).  When the buffer holds the
-    whole series, the rows are made in near-equal slabs of at most the
-    store's length, each one real product of its coefficient rows with the
-    basis.  (numpy makes a one-row product another way, which rounds
-    differently; near-equal slabs have one row only in one-sample blocks or
-    two-row stores.)  Otherwise the block fits the store: the buffer
-    is flushed into it as it fills, the first time as one product and then
-    row by row, and the block is the one slab.  Each slab is a view of the
-    store that the next overwrites.  psi may be a row of the store: the
-    buffer takes it before any slab is written.
+    space is the run's [U_k buffer, store], each replaced by a longer one
+    when this series needs more.  The buffer holds up to the series' terms
+    vectors, within _BLOCK_BYTES (at least two).  When it holds the whole
+    series, the store holds half as many rows (at least two), and the rows
+    are made in near-equal slabs of at most the store's length, each one
+    real product of its coefficient rows with the orders up to the largest
+    stop among them.  (numpy makes a one-row product another way, which
+    rounds differently; near-equal slabs have one row only in one-sample
+    blocks or two-row stores.)  Otherwise the store is as long as the
+    buffer, and the block fits it: the buffer is flushed into it as it
+    fills, the first time as one product and then row by row, and the block
+    is the one slab.  Each slab is a view of the store that the next
+    overwrites.  psi may be a row of the store: the buffer takes it before
+    any slab is written.
     """
-    i = int(np.argmax(x))
-    c = bessel_table(_tail_order(float(x[i])) - 1, x)
+    c = bessel_table(_tail_order(float(x.max())) - 1, x)
     c[:, 1:] *= 2.0
-    tail, row = 0.0, c[i].tolist()
-    for terms in range(len(row), 0, -1):
-        tail += abs(row[terms - 1])
-        if tail >= 4e-17:
-            break
+    # a row's |c_k| sum to at least 1 (J_0^2 + 2 sum J_k^2 = 1), so it keeps an order
+    stops = (np.abs(c[:, ::-1]).cumsum(axis=1) >= 4e-17).sum(axis=1).tolist()
+    terms = max(stops)
     c = c[:, :terms]
     size = min(terms, max(2, _BLOCK_BYTES // (16 * psi.size)))
+    outrun = terms > size
+    store_rows = size if outrun else max(2, -(-size // 2))
     if len(space[0]) < size:
-        space[:] = [np.empty((size, psi.size), complex) for _ in range(2)]
+        space[0] = np.empty((size, psi.size), complex)
+    if len(space[1]) < store_rows:
+        space[1] = np.empty((store_rows, psi.size), complex)
     buf, store = space
     buf_f, store_f = buf.view(float), store.view(float)
-    outrun = terms > len(buf)
     for k in range(terms):
         j = k % len(buf)
         if k == 0:
@@ -117,8 +131,11 @@ def _chebyshev_block(hop2: _Hop, psi: np.ndarray, x: np.ndarray, space: list):
     if outrun:
         yield store[:len(c)]
         return
+    first = 0
     for rows in np.array_split(c, -(-len(c) // len(store))):
-        np.matmul(rows, buf_f[:terms], out=store_f[:len(rows)])
+        k = max(stops[first:first + len(rows)])  # the orders these rows need
+        first += len(rows)
+        np.matmul(rows[:, :k], buf_f[:k], out=store_f[:len(rows)])
         yield store[:len(rows)]
 
 
@@ -145,18 +162,20 @@ def _effective_run(initial: WaveField, hoppings: EffectiveHoppings, t_samples,
                    opts: IntegratorOptions | None, t_start: float, keep: str) -> _Run:
     """evolve_effective's samples as a _Run, made one Chebyshev block at a time.
 
-    The run makes one U_k buffer and one store of as many samples, each
-    within _BLOCK_BYTES, and lengthens them only when a block's series needs
-    more.  So it holds the basis and one slab of samples, or, while a series
-    outruns the buffer, the block; no flush makes a product larger than a
-    sample.  A block starts from the last sample of the one before, a row of
-    the store, so a block that lengthens the store holds the old one too.
+    The run makes one U_k buffer of a series' terms and one store of half
+    as many samples (at least two), or of as many while a series outruns
+    the buffer, each within _BLOCK_BYTES, and lengthens them only when a
+    block needs more.  So it holds the basis and one slab of samples, each
+    slab stopping at its own series tail, or, while a series outruns the
+    buffer, the block; no flush makes a product larger than a sample.  A
+    block starts from the last sample of the one before, a row of the
+    store, so a block that lengthens the store holds the old one too.
     """
     opts = opts or IntegratorOptions()
     window = initial.window
     t = _check_samples(t_samples, t_start)
     kx, ky = abs(hoppings.kappa_x), abs(hoppings.kappa_y)
-    R = 2.0 * (kx + ky) or 1.0
+    R = _chebyshev_rate(hoppings)
     hop2 = _Hop(_neighbor_diagonals(window, *_effective_links(window, hoppings),
                                      scale=-2j / R), initial.amplitudes.size)
 
@@ -262,6 +281,15 @@ def _kinematics(sums: _SampleSums, window: LatticeWindow,
     ])
 
 
+def _semiclassical_step(hoppings: EffectiveHoppings, sigma: float) -> float:
+    """RK4 step cap of semiclassical_evolve: 0.001 over its fastest rate, or 1."""
+    kx, ky = abs(hoppings.kappa_x), abs(hoppings.kappa_y)
+    scale = max(abs(kx * sigma), abs(ky * sigma), kx, ky)
+    if scale == math.inf:
+        raise ValueError("semiclassical rates |kappa sigma| overflow")
+    return 0.001 / scale if scale > 0.0 else 1.0
+
+
 def semiclassical_evolve(initial: SemiclassicalState, hoppings: EffectiveHoppings,
                          sigma: float, t_samples) -> list[SemiclassicalState]:
     """Integrate the mean-value closure from t = 0.
@@ -288,8 +316,7 @@ def semiclassical_evolve(initial: SemiclassicalState, hoppings: EffectiveHopping
                   -2.0 * ky * sigma * spm, 2.0 * kx * sigma * spn)
         return out
 
-    scale = max(abs(kx * sigma), abs(ky * sigma), kx, ky)
-    h_cap = 0.001 / scale if scale > 0.0 else 1.0
+    h_cap = _semiclassical_step(hoppings, sigma)
     out, t_cur = [], 0.0
     for ts in t:
         y = _rk4_span(y, t_cur, float(ts), h_cap, rhs)

@@ -342,7 +342,7 @@ def _audit_lines(derived: dict) -> list[str]:
 
 
 def _run_full(s: Scenario):
-    times, c0, _ = _start(s)
+    times, c0 = _start(s)[:2]  # f0 is not read, so it is not held
     keep = "sums" if s.out_profile or s.out_com else "final"
     traj = evolve_full(c0, s.drive, s.J_x, s.J_y, times, s.integrator, s.t_start,
                        keep=keep)
@@ -352,7 +352,7 @@ def _run_full(s: Scenario):
 
 def _run_effective(s: Scenario):
     h = s.hoppings[0]
-    times, _, f0 = _start(s)
+    times, f0 = _start(s)[::2]  # c0 is not read, so it is not held
     traj = evolve_effective(f0, h, times, s.integrator, s.t_start, keep="sums")
     derived, tables = _trajectory_products(s, traj)
     derived.update(kappa_x=h.kappa_x, kappa_y=h.kappa_y, alpha=h.alpha)
@@ -365,7 +365,7 @@ def _run_effective(s: Scenario):
 def _run_semiclassical(s: Scenario):
     h = s.hoppings[0]
     # same prepared state as an effective run, reduced to its expectations
-    times, _, f0 = _start(s)
+    times, f0 = _start(s)[::2]
     initial = expectation_kinematics(f0, h).state
     states = semiclassical_evolve(initial, h, h.flux_angle, times)
     table = np.array([[t, st.n_mean, st.m_mean, st.Pn_mean, st.Pm_mean]

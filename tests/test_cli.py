@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -791,6 +792,51 @@ def test_oversized_semiclassical_run_fails_fast_at_load(tmp_path, capsys):
     assert main(["validate", str(_write(tmp_path, "sc.ini", ini))]) == 3
     assert time.perf_counter() - start < 1.0
     assert "1000000000001 semiclassical samples" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config, waveform, work", [
+    ("fig2_semiclassical.ini", "sinusoidal", "1.16e+12 RK4 steps"),
+    ("fig1b.ini", "sinusoidal", "1.95e+11 RK4 steps"),
+    ("fig1b.ini", "delta_kicks", "5.09e+09 kick stops"),
+    ("fig2_effective.ini", "sinusoidal", "4.32e+09 Chebyshev orders"),
+])
+def test_a_run_of_unbounded_work_fails_fast_at_load(tmp_path, capsys, config, waveform, work):
+    # two samples 1e9 apart: RK4 steps of 8.6e-4 or 5.1e-3 over the gap, a kick
+    # stop at each of two classes' 2.5e9 kicks, or one series at x = R t = 4.3e9.
+    # Validated only, never run
+    ini = (CONFIGS / config).read_text().replace("waveform = sinusoidal", f"waveform = {waveform}")
+    ini = re.sub(r"(?m)^(t_max|dt_sample) = .*$", r"\1 = 1e9", ini)
+    start = time.perf_counter()
+    assert main(["validate", str(_write(tmp_path, "long.ini", ini))]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert f"needs {work}, above the 10000000 limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("couplings, M, error", [
+    ("J_x = 1e307\nJ_y = 1e307", 10000, "semiclassical rates |kappa sigma| overflow"),
+    ("J_x = 1e305\nJ_y = 1e305", 1, "needs inf RK4 steps"),
+])
+def test_a_semiclassical_step_or_step_count_that_overflows_fails_at_load(
+        tmp_path, capsys, couplings, M, error):
+    # kappa sigma past the float range, or a step so small that t_max / step
+    # overflows: exit 3 at validate, where the step or its count raised
+    ini = ((CONFIGS / "fig2_semiclassical.ini").read_text()
+           .replace("J_x = 1\nJ_y = 2", couplings).replace("M = 1\n", f"M = {M}\n"))
+    ini = re.sub(r"(?m)^(t_max|dt_sample) = .*$", r"\1 = 1e9", ini)
+    assert main(["validate", str(_write(tmp_path, "sc.ini", ini))]) == 3
+    assert error in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config, steps", [
+    ("fig2_full.ini", 11088), ("fig2_semiclassical.ini", 11640), ("fig1b.ini", 2000)])
+def test_the_work_cap_admits_exactly_a_runs_rk4_steps(capsys, monkeypatch, config, steps):
+    # fig2_full's 11 088 steps are what a profile of its run counts; fig2_semi
+    # takes 20 spans of 582 steps, fig1b 200 of 10
+    monkeypatch.setattr(config_module, "_WORK_MAX", steps)
+    assert main(["validate", str(CONFIGS / config)]) == 0
+    monkeypatch.setattr(config_module, "_WORK_MAX", steps - 1)
+    assert main(["validate", str(CONFIGS / config)]) == 3
+    assert f"RK4 steps, above the {steps - 1} limit" in capsys.readouterr().err
 
 
 def test_output_format_is_pinned(tmp_path):

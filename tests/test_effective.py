@@ -317,6 +317,60 @@ def test_a_block_of_samples_is_held_one_slab_at_a_time(rng):
     assert extra <= (2 * terms + 4) * vector < ts.size * vector
 
 
+def test_a_block_in_its_buffer_is_held_half_a_series_of_rows_at_a_time(rng):
+    # the block of the test above: its store holds half the buffer's rows
+    h = _fig_hoppings()
+    R = 2.0 * (abs(h.kappa_x) + abs(h.kappa_y))
+    w = LatticeWindow.centered(20)
+    vector = 16 * w.shape[0] * w.shape[1]
+    ts = np.linspace(0.0, 3.9 / R, 200)
+    terms = _tail_order(3.9)
+    extra = _extra_peak(_random_field(rng, w), h, ts, ts[:1])
+    assert extra <= (terms + -(-terms // 2) + 4) * vector
+
+
+def test_each_slab_reads_only_the_orders_its_rows_need(rng, monkeypatch):
+    # one block with x from 0 to 4 in slabs of half the series: every row is
+    # the product over all computed orders within what the dropped tail can
+    # carry, and no slab multiplies an order past the largest stop of its rows
+    h = _fig_hoppings()
+    R = 2.0 * (abs(h.kappa_x) + abs(h.kappa_y))
+    w = LatticeWindow.centered(3)
+    links = effective_module._effective_links(w, h)
+    diagonals = effective_module._neighbor_diagonals(w, *links, scale=-2j / R)
+    hop2 = effective_module._Hop(diagonals, 49)
+    psi = _random_field(rng, w).amplitudes.ravel()
+    x = np.linspace(0.0, 4.0, 60)
+    c = bessel_table(_tail_order(4.0) - 1, x)
+    c[:, 1:] *= 2.0
+    stops = np.maximum(1, np.count_nonzero(np.cumsum(np.abs(c[:, ::-1]), axis=1) >= 4e-17, axis=1))
+    U = [psi, 0.5 * hop2(psi)]
+    while len(U) < c.shape[1]:
+        U.append(hop2(U[-1]) + U[-2])
+    U = np.array(U)
+    read = []
+
+    class SpyNumpy:  # numpy, with each matmul's orders recorded
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def matmul(a, b, out):
+            read.append(a.shape)
+            return np.matmul(a, b, out=out)
+
+    monkeypatch.setattr(effective_module, "np", SpyNumpy())
+    slabs = [slab.copy() for slab in effective_module._chebyshev_block(
+        hop2, psi, x, [np.empty((0, 49), complex)] * 2)]
+    assert len(slabs) >= 3 and [len(s) for s in slabs] == [r for r, _ in read]
+    err = np.linalg.norm(np.concatenate(slabs) - c @ U, axis=1)
+    assert np.all(err <= 4e-17 * np.linalg.norm(U, axis=1).sum())
+    first = np.cumsum([0] + [r for r, _ in read])
+    for (_, k), lo, hi in zip(read, first, first[1:]):
+        assert k <= stops[lo:hi].max()
+    assert read[0][1] < read[-1][1] == stops.max()
+
+
 @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (7, 1), (2, 2), (9, 13), (25, 25)])
 def test_row_correlators_match_a_vdot_loop(rng, shape):
     f = rng.normal(size=shape) + 1j * rng.normal(size=shape)
