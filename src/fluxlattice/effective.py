@@ -87,17 +87,18 @@ def _chebyshev_block(hop2: _Hop, psi: np.ndarray, x: np.ndarray, space: list):
     space is the run's [U_k buffer, store], each replaced by a longer one
     when this series needs more.  The buffer holds up to the series' terms
     vectors, within _BLOCK_BYTES (at least two).  When it holds the whole
-    series, the store holds half as many rows (at least two), and the rows
-    are made in near-equal slabs of at most the store's length, each one
-    real product of its coefficient rows with the orders up to the largest
-    stop among them.  (numpy makes a one-row product another way, which
-    rounds differently; near-equal slabs have one row only in one-sample
-    blocks or two-row stores.)  Otherwise the store is as long as the
-    buffer, and the block fits it: the buffer is flushed into it as it
-    fills, the first time as one product and then row by row, and the block
-    is the one slab.  Each slab is a view of the store that the next
-    overwrites.  psi may be a row of the store: the buffer takes it before
-    any slab is written.
+    series, the store holds half as many rows (at least two) but no more
+    than the block has, and the rows are made in near-equal slabs of at
+    most the store's length, each one real product of its coefficient rows
+    with the orders up to the largest stop among them.  (numpy makes a
+    one-row product another way, which rounds differently; near-equal slabs
+    have one row only in one-sample blocks or two-row stores.)  Otherwise
+    the store holds the block's rows, as many as the buffer at most: the
+    buffer is flushed into it as it fills, the first time as one product
+    and then row by row, and the block is the one slab.  A store is only
+    lengthened, so a later block may find it longer than this one needs.
+    Each slab is a view of the store that the next overwrites.  psi may be
+    a row of the store: the buffer takes it before any slab is written.
     """
     c = bessel_table(_tail_order(float(x.max())) - 1, x)
     c[:, 1:] *= 2.0
@@ -107,7 +108,7 @@ def _chebyshev_block(hop2: _Hop, psi: np.ndarray, x: np.ndarray, space: list):
     c = c[:, :terms]
     size = min(terms, max(2, _BLOCK_BYTES // (16 * psi.size)))
     outrun = terms > size
-    store_rows = size if outrun else max(2, -(-size // 2))
+    store_rows = min(len(c), size if outrun else max(2, -(-size // 2)))
     if len(space[0]) < size:
         space[0] = np.empty((size, psi.size), complex)
     if len(space[1]) < store_rows:
@@ -163,13 +164,14 @@ def _effective_run(initial: WaveField, hoppings: EffectiveHoppings, t_samples,
     """evolve_effective's samples as a _Run, made one Chebyshev block at a time.
 
     The run makes one U_k buffer of a series' terms and one store of half
-    as many samples (at least two), or of as many while a series outruns
-    the buffer, each within _BLOCK_BYTES, and lengthens them only when a
-    block needs more.  So it holds the basis and one slab of samples, each
-    slab stopping at its own series tail, or, while a series outruns the
-    buffer, the block; no flush makes a product larger than a sample.  A
-    block starts from the last sample of the one before, a row of the
-    store, so a block that lengthens the store holds the old one too.
+    as many samples (at least two, at most the block's), or of the block
+    while a series outruns the buffer, each within _BLOCK_BYTES, and
+    lengthens them only when a block needs more.  So it holds the basis and
+    one slab of samples, each slab stopping at its own series tail, or,
+    while a series outruns the buffer, the block; no flush makes a product
+    larger than a sample.  A block starts from the last sample of the one
+    before, a row of the store, so a block that lengthens the store holds
+    the old one too.
     """
     opts = opts or IntegratorOptions()
     window = initial.window

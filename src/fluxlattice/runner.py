@@ -18,6 +18,13 @@ Every run also writes ``L_meta.json``.  It embeds the fully resolved
 config under "config", so the JSON file itself is a valid input to ``run``
 and reproduces the outputs exactly; complex numbers appear in it as
 [re, im].  ``RunResult.metadata`` is that file, parsed.
+An output that already exists is rewritten in place and cut to the length
+written, not truncated when it is opened: on ext4 (``auto_da_alloc``) the
+close of a file truncated to zero allocates its new blocks and starts
+writing them out, a cost that grows with the file, and runs are often
+repeated into one directory.  A write that fails partway leaves the new
+bytes up to the failure and none of the old file after them.  A file new
+to its directory is created as before.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import os
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -180,6 +188,22 @@ def _float_cells(block) -> bytes:
     return b"".join(cells)
 
 
+def _write_over(path: Path, chunks) -> None:
+    """Write the byte chunks to path in place, then cut the file where they end.
+
+    The file is opened without O_TRUNC (see the module docstring).  The cut
+    is made even if a chunk raises, so the file then holds the bytes written
+    up to the failure and no old tail.  A new file is created, mode 0o666
+    less the umask, as Path.open("wb") creates it.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        try:
+            for chunk in chunks:
+                fh.write(chunk)
+        finally:
+            fh.truncate()
+
+
 def _write_csv(path: Path, header, table, fmt="%.12g") -> None:
     """np.savetxt's bytes for these arguments, formatted and written by blocks.
 
@@ -197,11 +221,13 @@ def _write_csv(path: Path, header, table, fmt="%.12g") -> None:
 
         def block_bytes(block):
             return ((line * len(block)) % tuple(block.ravel().tolist())).encode()
-    with path.open("wb") as fh:
+
+    def chunks():
         if header:
-            fh.write((",".join(header) + "\r\n").encode())
+            yield (",".join(header) + "\r\n").encode()
         for i in range(0, len(table), rows):
-            fh.write(block_bytes(table[i:i + rows]))
+            yield block_bytes(table[i:i + rows])
+    _write_over(path, chunks())
 
 
 def _plain(obj):
@@ -464,7 +490,7 @@ def run_scenario(source, out_dir=".", strict: bool = False,
         "exit_code": exit_code,
     }, indent=2, sort_keys=True, default=_plain)
     meta_path = out / f"{scenario.label}_meta.json"
-    meta_path.write_text(text + "\n", encoding="utf-8")
+    _write_over(meta_path, [(text + "\n").encode("utf-8")])
     files = tuple(out / name for name in names.values()) + (meta_path,)
     if not quiet:
         print(f"{scenario.label}: {scenario.kind} -> "

@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -343,6 +345,51 @@ def test_csv_writer_writes_the_header_of_a_table_without_rows(tmp_path, table):
     written = (tmp_path / "w.csv").read_bytes()
     assert written == b"alpha,E_min,E_max\r\n"
     assert written == _savetxt_bytes(tmp_path / "s.csv", header, table)
+
+
+def test_a_shorter_run_over_a_longer_one_writes_the_bytes_of_a_fresh_run(tmp_path):
+    # every output is rewritten in place and cut to length, so none keeps a
+    # tail of the longer run before it
+    cfg = load_config(CONFIGS / "fig2_effective.ini").resolved_config()
+    cfg["output"]["fields"] = True
+    over, fresh = tmp_path / "over", tmp_path / "fresh"
+    longer = run_scenario(scenario_from_sections(cfg), over, quiet=True)
+    sizes = {p.name: p.stat().st_size for p in longer.files}
+    cfg["time"]["t_max"] = 2.0
+    shorter = scenario_from_sections(cfg)
+    run_scenario(shorter, over, quiet=True)
+    run_scenario(shorter, fresh, quiet=True)
+    names = sorted(p.name for p in fresh.iterdir())
+    assert sorted(p.name for p in over.iterdir()) == names == sorted(sizes)
+    for name in names:
+        assert (over / name).read_bytes() == (fresh / name).read_bytes(), name
+    assert (over / "fig2_eff_profile.csv").stat().st_size < sizes["fig2_eff_profile.csv"]
+
+
+def test_a_write_that_raises_leaves_the_new_bytes_and_no_old_tail(tmp_path):
+    path = tmp_path / "w.csv"
+    path.write_bytes(b"old,old\r\n" * 1000)
+
+    def chunks():
+        yield b"new\r\n"
+        raise OSError("no space left")
+
+    with pytest.raises(OSError, match="no space left"):
+        fluxlattice.runner._write_over(path, chunks())
+    assert path.read_bytes() == b"new\r\n"
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o000])
+def test_a_new_output_has_the_mode_path_open_gives(tmp_path, umask):
+    before = os.umask(umask)
+    try:
+        fluxlattice.runner._write_over(tmp_path / "w.csv", [b"x\r\n"])
+        with (tmp_path / "s.csv").open("wb") as fh:
+            fh.write(b"x\r\n")
+    finally:
+        os.umask(before)
+    modes = [stat.S_IMODE((tmp_path / name).stat().st_mode) for name in ("w.csv", "s.csv")]
+    assert modes[0] == modes[1] == 0o666 & ~umask
 
 
 def test_meta_json_encodes_numpy_scalars_and_rejects_other_objects():
