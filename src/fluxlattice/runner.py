@@ -22,9 +22,11 @@ An output that already exists is rewritten in place and cut to the length
 written, not truncated when it is opened: on ext4 (``auto_da_alloc``) the
 close of a file truncated to zero allocates its new blocks and starts
 writing them out, a cost that grows with the file, and runs are often
-repeated into one directory.  A write that fails partway leaves the new
-bytes up to the failure and none of the old file after them.  A file new
-to its directory is created as before.
+repeated into one directory.  A write that raises partway, in formatting
+or in the write itself, leaves the new bytes up to the failure and none of
+the old file after them.  A process killed mid-write makes no cut: the file
+then holds the new bytes and, after them, the rest of the old file.  A
+file new to its directory is created as before.
 """
 
 from __future__ import annotations
@@ -191,17 +193,26 @@ def _float_cells(block) -> bytes:
 def _write_over(path: Path, chunks) -> None:
     """Write the byte chunks to path in place, then cut the file where they end.
 
-    The file is opened without O_TRUNC (see the module docstring).  The cut
-    is made even if a chunk raises, so the file then holds the bytes written
-    up to the failure and no old tail.  A new file is created, mode 0o666
-    less the umask, as Path.open("wb") creates it.
+    The file is opened without O_TRUNC (see the module docstring) and
+    written unbuffered, so ``end`` counts the bytes the system took.  The
+    cut is made there even if a chunk or a write raises, so the file then
+    holds the bytes written up to the failure and no old tail.  A new file
+    is created, mode 0o666 less the umask, as Path.open("wb") creates it.
     """
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    end = 0
+    try:
+        for chunk in chunks:
+            view = memoryview(chunk)
+            while view:
+                n = os.write(fd, view)
+                end += n
+                view = view[n:]
+    finally:
         try:
-            for chunk in chunks:
-                fh.write(chunk)
+            os.ftruncate(fd, end)
         finally:
-            fh.truncate()
+            os.close(fd)
 
 
 def _write_csv(path: Path, header, table, fmt="%.12g") -> None:

@@ -1,5 +1,6 @@
 """Scenario loading: canonical config form, run objects built once at load."""
 
+import errno
 import json
 import math
 import os
@@ -377,6 +378,26 @@ def test_a_write_that_raises_leaves_the_new_bytes_and_no_old_tail(tmp_path):
     with pytest.raises(OSError, match="no space left"):
         fluxlattice.runner._write_over(path, chunks())
     assert path.read_bytes() == b"new\r\n"
+
+
+def test_a_write_that_fails_in_the_system_leaves_the_bytes_it_took(tmp_path, monkeypatch):
+    path = tmp_path / "w.csv"
+    path.write_bytes(b"old,old\r\n" * 1000)
+    new = [b"new,new\r\n", b"more,more\r\n"]
+    real_write, took = os.write, []
+
+    def write(fd, data):  # takes at most 4 bytes a call, then fails past 10
+        if sum(took) >= 10:
+            raise OSError(errno.EIO, "I/O error")
+        took.append(real_write(fd, bytes(data[:4])))
+        return took[-1]
+
+    monkeypatch.setattr(os, "write", write)
+    with pytest.raises(OSError, match="I/O error"):
+        fluxlattice.runner._write_over(path, new)
+    monkeypatch.undo()
+    assert 10 <= sum(took) < len(b"".join(new))
+    assert path.read_bytes() == b"".join(new)[:sum(took)]
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o077, 0o000])
